@@ -15,12 +15,14 @@
 // Flags: --smoke (tiny config, same code paths), --json <path> (machine
 // readable results for tools/check_bench_regression.py), --floors <n>,
 // --seed <s> (drives building + workload generation; recorded in the JSON
-// so artifacts are reproducible run-to-run), --queue {heap,bucket} and
+// so artifacts are reproducible run-to-run), --cache {on,off} (the
+// optimized side's cross-query cache; off makes range/kNN time the
+// algorithm instead of result-cache hits), --queue {heap,bucket} and
 // --landmarks {on,off} (frontier + ALT-pruning knobs of the optimized
-// side; both default on, and both are recorded in the JSON so paired runs
-// can be ratioed). Speedup ratios and alloc counts are
-// machine-independent, which is what the committed BENCH_baseline.json
-// pins.
+// side). All three default on and are recorded in the JSON, so paired
+// runs can be ratioed and gated against the matching baseline table.
+// Speedup ratios and alloc counts are machine-independent, which is what
+// the committed BENCH_baseline.json pins.
 
 #define INDOOR_BENCH_COUNT_ALLOCS
 #include "bench_util.h"
@@ -84,7 +86,7 @@ void PrintResult(const WorkloadResult& r) {
 }
 
 void WriteJson(const char* path, bool smoke, int floors, uint64_t seed,
-               bool bucket_queue, bool landmarks,
+               bool cache_on, bool bucket_queue, bool landmarks,
                const std::vector<WorkloadResult>& results) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -93,11 +95,11 @@ void WriteJson(const char* path, bool smoke, int floors, uint64_t seed,
   }
   std::fprintf(f,
                "{\n  \"smoke\": %s,\n  \"floors\": %d,\n"
-               "  \"seed\": %llu,\n  \"queue\": \"%s\",\n"
+               "  \"seed\": %llu,\n  \"cache\": %s,\n  \"queue\": \"%s\",\n"
                "  \"landmarks\": %s,\n  \"workloads\": {\n",
                smoke ? "true" : "false", floors,
                static_cast<unsigned long long>(seed),
-               bucket_queue ? "bucket" : "heap",
+               cache_on ? "true" : "false", bucket_queue ? "bucket" : "heap",
                landmarks ? "true" : "false");
   for (size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];
@@ -330,8 +332,8 @@ int main(int argc, char** argv) {
   for (const WorkloadResult& r : results) PrintResult(r);
 
   if (json_path != nullptr) {
-    WriteJson(json_path, smoke, floors, seed, bucket_queue, landmarks,
-              results);
+    WriteJson(json_path, smoke, floors, seed, cache_on, bucket_queue,
+              landmarks, results);
   }
   return 0;
 }

@@ -8,7 +8,7 @@
 //                          [--queries-per-reader N] [--positions N]
 //                          [--zipf THETA] [--cache on|off] [--batch B]
 //                          [--queue heap|bucket] [--landmarks on|off]
-//                          [--no-midx] [--knn-approx] [--candidates F]
+//                          [--knn-approx] [--candidates F]
 //                          [--landmark-count N]
 //                          [--obstacles P] [--mix all|distance|range|knn]
 //                          [--move-rate R] [--move-batch M]
@@ -150,9 +150,8 @@ std::string RecordingSeriesJson(const tseries::Recording& recording) {
 void WriteJson(const std::string& path, int floors, size_t objects,
                size_t queries, size_t positions, double zipf, bool cache,
                size_t batch, const std::string& mix, uint64_t seed,
-               bool bucket_queue, bool landmarks, bool no_midx,
-               bool knn_approx, const std::vector<Row>& rows,
-               bool query_log,
+               bool bucket_queue, bool landmarks, bool knn_approx,
+               const std::vector<Row>& rows, bool query_log,
                double move_rate, size_t moves, uint64_t repairs,
                uint64_t epoch_rejects,
                const tseries::Recording* recording) {
@@ -169,8 +168,7 @@ void WriteJson(const std::string& path, int floors, size_t objects,
                "  \"queries_per_reader\": %zu,\n  \"positions\": %zu,\n"
                "  \"zipf\": %.3f,\n  \"cache\": %s,\n  \"batch\": %zu,\n"
                "  \"mix\": \"%s\",\n  \"queue\": \"%s\",\n"
-               "  \"landmarks\": %s,\n  \"no_midx\": %s,\n"
-               "  \"knn_approx\": %s,\n"
+               "  \"landmarks\": %s,\n  \"knn_approx\": %s,\n"
                "  \"query_log\": %s,\n"
                "  \"move_rate\": %.3f,\n  \"moves\": %zu,\n"
                "  \"repairs\": %llu,\n"
@@ -179,8 +177,7 @@ void WriteJson(const std::string& path, int floors, size_t objects,
                floors, objects, queries, positions, zipf,
                cache ? "true" : "false", batch, mix.c_str(),
                bucket_queue ? "bucket" : "heap",
-               landmarks ? "true" : "false", no_midx ? "true" : "false",
-               knn_approx ? "true" : "false",
+               landmarks ? "true" : "false", knn_approx ? "true" : "false",
                query_log ? "true" : "false", move_rate, moves,
                static_cast<unsigned long long>(repairs),
                static_cast<unsigned long long>(epoch_rejects),
@@ -269,7 +266,6 @@ int main(int argc, char** argv) {
   bool cache = true;
   bool bucket_queue = true;
   bool landmarks = true;
-  bool no_midx = false;
   size_t batch = 0;  // 0 = free-running reader loop
   // Obstructed rooms make the per-query source-field legs geodesic solves
   // (the dominant serving cost in realistic plans, and what the
@@ -319,12 +315,6 @@ int main(int argc, char** argv) {
       candidate_factor = std::stoul(next());
     } else if (arg == "--landmark-count") {
       landmark_count = std::stoul(next());
-    } else if (arg == "--no-midx") {
-      // Route range/kNN through the full Md2d-row scan instead of the
-      // nearest-first Midx walk. That scan is where the ALT landmark
-      // pruning hook fires, so the landmarks ON-vs-OFF pairing gates the
-      // pruning benefit rather than a no-op. Free-running loop only.
-      no_midx = true;
     } else if (arg == "--batch") {
       batch = std::stoul(next());
     } else if (arg == "--obstacles") {
@@ -375,12 +365,6 @@ int main(int argc, char** argv) {
                  "capture's digests replay against the exact path\n");
     return 2;
   }
-  if (no_midx && batch > 0) {
-    std::fprintf(stderr,
-                 "--no-midx only applies to the free-running reader loop "
-                 "(BatchExecutor requests carry no per-query options)\n");
-    return 2;
-  }
 
   BuildingConfig config;
   config.floors = floors;
@@ -422,17 +406,11 @@ int main(int argc, char** argv) {
   auto run_request = [&](const QueryRequest& request,
                          QueryScratch* scratch) -> size_t {
     switch (request.kind) {
-      case QueryRequest::Kind::kRange: {
-        RangeQueryOptions ropts;
-        ropts.use_index_matrix = !no_midx;
-        return RangeQuery(index, request.a, request.radius, ropts, scratch)
+      case QueryRequest::Kind::kRange:
+        return RangeQuery(index, request.a, request.radius, {}, scratch)
             .size();
-      }
-      case QueryRequest::Kind::kKnn: {
-        KnnQueryOptions kopts;
-        kopts.use_index_matrix = !no_midx;
-        return KnnQuery(index, request.a, request.k, kopts, scratch).size();
-      }
+      case QueryRequest::Kind::kKnn:
+        return KnnQuery(index, request.a, request.k, {}, scratch).size();
       case QueryRequest::Kind::kDistance:
         return Pt2PtDistanceMatrix(index.locator(), index.d2d_matrix(),
                                    request.a, request.b, scratch,
@@ -601,7 +579,7 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WriteJson(json_path, floors, objects, queries_per_reader,
               position_count, zipf, cache, batch, mix, seed, bucket_queue,
-              landmarks, no_midx, knn_approx, rows,
+              landmarks, knn_approx, rows,
               !query_log_path.empty(), move_rate,
               total_moves, repairs, epoch_rejects,
               recording.samples.empty() ? nullptr : &recording);

@@ -22,7 +22,7 @@
 //    the target set have settled, and Dijkstra's settle-prefix property
 //    makes every settled distance bit-identical to the full run's — i.e.
 //    bit-identical to the flat Md2d entry.
-//  * Query paths (hierarchy_distance.cc, range_query.cc, knn_query.cc)
+//  * Query paths (hierarchy_distance.cc, and door_ball.h for range/kNN)
 //    serve intra-cell lookups straight from the blocks and answer
 //    inter-cell queries by running BOUNDED flat Dijkstras whose stop and
 //    push-prune conditions are provably loss-free; composed border sums

@@ -12,8 +12,8 @@
 //   d(s, t) >= max_l max(fwd[t][l] - fwd[s][l], bwd[s][l] - bwd[t][l])
 // Query paths use these bounds ONLY to skip work that provably cannot
 // change the answer (pair-skips in Algorithm 2, push-pruning in the
-// virtual-source Dijkstra, door-scan skips in range/kNN), so results stay
-// bitwise identical with landmarks on or off.
+// virtual-source Dijkstra), so results stay bitwise identical with
+// landmarks on or off.
 //
 // Storage is transposed per door — the `count()` landmark values of one
 // door are contiguous — so a bound evaluation reads two short dense rows
@@ -115,7 +115,7 @@ class LandmarkIndex {
 /// IndexOptions::landmark_count is 0 (auto). A step curve: small plans get
 /// few landmarks (bound arithmetic would outweigh the pruning), campus
 /// plans get more (rows are cheap next to |D|^2 matrices and the tighter
-/// bounds pay off in full-row scans). Documented in docs/BENCHMARKS.md;
+/// bounds prune more solver work). Documented in docs/BENCHMARKS.md;
 /// pruning is loss-free at any count, so this only moves build time and
 /// bound tightness, never results.
 inline size_t AutoLandmarkCount(size_t door_count) {

@@ -128,8 +128,11 @@ std::vector<QueryResult> BatchExecutor::Run(
   for (uint32_t i = 0; i < requests.size(); ++i) {
     const auto host = CachedHostPartition(index_->query_cache(),
                                           index_->locator(), requests[i].a);
-    order.push_back(BatchItem{host.ok() ? host.value() : kInvalidId,
-                              requests[i].a.x, requests[i].a.y, i});
+    // Unlocated requests all answer empty; their positions (possibly NaN)
+    // stay out of the sort order.
+    order.push_back(host.ok() ? BatchItem{host.value(), requests[i].a.x,
+                                          requests[i].a.y, i}
+                              : BatchItem{kInvalidId, 0.0, 0.0, i});
   }
   if (options.group_by_partition) {
     std::sort(order.begin(), order.end());

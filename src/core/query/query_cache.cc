@@ -60,6 +60,9 @@ QueryCache::QueryCache(const FloorPlan& plan, const PartitionLocator& locator,
       result_cache_(options.result_capacity_bytes, options.shards,
                     "cache.result") {
   INDOOR_CHECK(options.quantum > 0.0) << "cache_quantum must be positive";
+  for (const Partition& part : plan.partitions()) {
+    plan_bounds_ = plan_bounds_.Union(part.footprint().outer().BoundingBox());
+  }
 }
 
 int64_t QueryCache::QuantizeCoord(double x) const {
@@ -67,6 +70,7 @@ int64_t QueryCache::QuantizeCoord(double x) const {
 }
 
 Result<PartitionId> QueryCache::HostPartition(const Point& p) const {
+  if (!plan_bounds_.Contains(p)) return locator_->GetHostPartition(p);
   const HostKey key{QuantizeCoord(p.x), QuantizeCoord(p.y)};
   PartitionId cached = kInvalidId;
   const bool hit = host_cache_.Lookup(key, [&](const HostEntry& entry) {

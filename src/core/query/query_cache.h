@@ -62,6 +62,7 @@
 
 #include "core/index/object_store.h"
 #include "core/model/locator.h"
+#include "geometry/rect.h"
 #include "util/sharded_cache.h"
 
 namespace indoor {
@@ -147,7 +148,10 @@ class QueryCache {
 
   /// getHostPartition(p) through the cache: returns the cached partition
   /// on an exact-point hit, otherwise delegates to the locator and caches
-  /// positive results. Error results (outdoor points) are never cached.
+  /// positive results. Error results (outdoor points) are never cached. A
+  /// point outside every partition's bounding box (NaN, ±inf, far-off
+  /// coordinates) goes straight to the locator without being quantized:
+  /// it has no host, and its key could overflow int64.
   Result<PartitionId> HostPartition(const Point& p) const;
 
   /// Fills out[i] with the field value of doors[i], where `doors` must be
@@ -335,6 +339,7 @@ class QueryCache {
   const ObjectStore* objects_;
   QueryCacheOptions options_;
   double inv_quantum_;
+  Rect plan_bounds_ = Rect::Empty();  // union of partition bounding boxes
   mutable ShardedCache<FieldKey, FieldEntry, FieldKeyHash> field_cache_;
   mutable ShardedCache<HostKey, HostEntry, HostKeyHash> host_cache_;
   mutable ShardedCache<ResultKey, ResultEntry, ResultKeyHash> result_cache_;

@@ -37,6 +37,12 @@ namespace indoor {
 /// path performs no steady-state heap allocations. AddObject/MoveObject
 /// are writes: they require external synchronization and must not overlap
 /// any in-flight reader.
+///
+/// Positions no partition contains, NaN and infinite coordinates included,
+/// are not located: Distance returns kInfDistance, Range and Nearest
+/// return empty results, Locate returns NotFound, and RunBatch answers
+/// such requests the same way. Range also returns empty when r is
+/// negative or NaN. The answer is the same with the cache on and off.
 class QueryEngine {
  public:
   /// Takes ownership of the plan and builds every index over it.

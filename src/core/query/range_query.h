@@ -22,8 +22,10 @@ struct RangeQueryOptions {
 
 /// Executes Qr(q, r). Returns the qualifying object ids, sorted and unique
 /// (one partition can be reached through several doors). Returns an empty
-/// result when q is not inside any partition. A null `scratch` falls back
-/// to the calling thread's TlsQueryScratch().
+/// result when q is not inside any partition (NaN or infinite coordinates
+/// included) or when r is negative or NaN. The answer is the same with the
+/// cache on and off. A null `scratch` falls back to the calling thread's
+/// TlsQueryScratch().
 std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
                                  double r, RangeQueryOptions options = {},
                                  QueryScratch* scratch = nullptr);

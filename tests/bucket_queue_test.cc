@@ -456,7 +456,7 @@ TEST(BucketQueueConcurrencyTest, ParallelQueriesMatchSerialResults) {
         Pt2PtDistanceVirtual(ctx, pairs[i].first, pairs[i].second);
   }
   RangeQueryOptions range_options;
-  range_options.use_index_matrix = false;  // landmark-pruned scan path
+  range_options.use_index_matrix = false;  // full Md2d-row scan path
   for (size_t i = 0; i < queries.size(); ++i) {
     expect_range[i] = RangeQuery(index, queries[i], 25.0, range_options);
     expect_knn[i] = KnnQuery(index, queries[i], 5);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -412,6 +413,56 @@ TEST(BatchExecutorTest, EmptyBatchAndReuse) {
     EXPECT_EQ(first[i].distance, second[i].distance);
     EXPECT_EQ(first[i].ids, second[i].ids);
     EXPECT_EQ(first[i].neighbors.size(), second[i].neighbors.size());
+  }
+}
+
+// ------------------------------------------------- non-finite entry inputs
+
+// Positions no partition can contain (NaN, ±inf, 1e300) and a NaN radius
+// get the same well-defined answers with the cache on and off. With the
+// cache on, such a position used to reach the key quantizer, whose
+// double-to-int64 cast overflowed (UBSan: float-cast-overflow), and a NaN
+// radius swept every door and cached an entry.
+TEST(QueryCacheEntryPointTest, NonFiniteInputsAnswerLikeCacheOff) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Point> bad = {{nan, 1.0}, {1.0, nan},    {inf, 1.0},
+                                  {-inf, 1.0}, {1.0, -inf},  {1e300, 1.0},
+                                  {1.0, -1e300}};
+  for (const bool cache_on : {true, false}) {
+    SCOPED_TRACE(cache_on ? "cache on" : "cache off");
+    QueryEngine engine(MakeRunningExamplePlan(), CacheOptions(cache_on));
+    Rng rng(5);
+    PopulateStore(GenerateObjects(engine.plan(), 40, &rng),
+                  &engine.index().objects());
+    const Point inside = GenerateQueryPositions(engine.plan(), 1, &rng)[0];
+    ASSERT_TRUE(engine.Locate(inside).ok());
+
+    std::vector<QueryRequest> requests;
+    for (const Point& p : bad) {
+      SCOPED_TRACE(testing::Message() << "position " << p);
+      EXPECT_TRUE(engine.Range(p, 2.0).empty());
+      EXPECT_TRUE(engine.Nearest(p, 2).empty());
+      EXPECT_EQ(engine.Distance(p, inside), kInfDistance);
+      EXPECT_EQ(engine.Distance(inside, p), kInfDistance);
+      EXPECT_FALSE(engine.Locate(p).ok());
+      requests.push_back(QueryRequest::Range(p, 2.0));
+      requests.push_back(QueryRequest::Knn(p, 2));
+      requests.push_back(QueryRequest::Distance(p, inside));
+      requests.push_back(QueryRequest::Distance(inside, p));
+    }
+    for (const QueryResult& result : engine.RunBatch(requests)) {
+      EXPECT_EQ(result.distance, kInfDistance);
+      EXPECT_TRUE(result.ids.empty());
+      EXPECT_TRUE(result.neighbors.empty());
+    }
+
+    const QueryCache* cache = engine.index().query_cache();
+    const uint64_t inserted = cache ? cache->ResultStats().insertions : 0;
+    EXPECT_TRUE(engine.Range(inside, nan).empty());
+    EXPECT_TRUE(engine.Range(inside, -1.0).empty());
+    EXPECT_EQ(cache ? cache->ResultStats().insertions : 0, inserted)
+        << "a rejected radius must not cache a result";
   }
 }
 

@@ -21,7 +21,11 @@ speedup and a maximum allocation count per workload; a run fails when a
 speedup drops more than the baseline's tolerance (default 25%) below its
 floor, or when the optimized path allocates more than allowed.
 Exact-result equality is enforced by the bench binary itself (it exits
-non-zero on any mismatch before producing JSON).
+non-zero on any mismatch before producing JSON). A run recorded with
+"cache": false is gated against the baseline's "workloads_cache_off"
+table instead of "workloads": with the result cache off, range and kNN
+time the door-expansion algorithm rather than result-cache hits, so the
+two regimes need separate floors.
 
 --throughput-ratio mode gates bench_query_throughput: it compares the
 peak_qps of two runs of the SAME workload, both measured on the same host
@@ -391,8 +395,10 @@ def main() -> int:
         baseline = json.load(f)
 
     tolerance = float(baseline.get("tolerance", 0.25))
+    table = "workloads" if results.get("cache", True) else "workloads_cache_off"
+    print(f"gating against baseline table {table!r}")
     failures = []
-    for name, floor in baseline["workloads"].items():
+    for name, floor in baseline[table].items():
         run = results["workloads"].get(name)
         if run is None:
             failures.append(f"{name}: missing from bench results")

@@ -61,7 +61,8 @@ size_t QueryScratch::CapacityBytes() const {
          VecCapacityBytes(src_leg) + VecCapacityBytes(dst_leg) +
          VecCapacityBytes(d2d_cache) + VecCapacityBytes(prev) +
          collector.CapacityBytes() + VecCapacityBytes(neighbors) +
-         VecCapacityBytes(result_deps) + VecCapacityBytes(approx_bound) +
+         VecCapacityBytes(result_deps) + VecCapacityBytes(sides) +
+         VecCapacityBytes(result_bits) + VecCapacityBytes(approx_bound) +
          VecCapacityBytes(approx_order) + VecCapacityBytes(approx_dq);
 }
 
@@ -77,6 +78,7 @@ size_t QueryScratch::UsedBytes() const {
          VecUsedBytes(d2d_cache) + VecUsedBytes(prev) +
          collector.size() * sizeof(std::pair<double, ObjectId>) +
          VecUsedBytes(neighbors) + VecUsedBytes(result_deps) +
+         VecUsedBytes(sides) + VecUsedBytes(result_bits) +
          VecUsedBytes(approx_bound) + VecUsedBytes(approx_order) +
          VecUsedBytes(approx_dq);
 }
@@ -101,6 +103,8 @@ void QueryScratch::ShrinkToFit() {
   collector.ShrinkToFit();
   neighbors.shrink_to_fit();
   result_deps.shrink_to_fit();
+  sides.shrink_to_fit();
+  result_bits.shrink_to_fit();
   approx_bound.shrink_to_fit();
   approx_order.shrink_to_fit();
   approx_dq.shrink_to_fit();

@@ -20,6 +20,7 @@
 #ifndef INDOOR_CORE_DISTANCE_QUERY_SCRATCH_H_
 #define INDOOR_CORE_DISTANCE_QUERY_SCRATCH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/distance/d2d_distance.h"
@@ -27,6 +28,25 @@
 #include "util/metrics.h"
 
 namespace indoor {
+
+/// One DPT side of a range query's door expansion — a bucket search of
+/// `part` anchored at `door` with residual budget r2 = r1 - d — and, once
+/// cached, one repair gate of its result (query_cache.h). The fresh search
+/// admits an object of `part` reached via `door` iff fdv <= budget
+/// (whole-partition inclusion) or its intra-partition distance from the
+/// door midpoint is <= budget, with `budget` the largest residual radius
+/// any door expansion granted that (part, door) pair. A kNN gate instead
+/// holds the smallest accumulated q-to-door leg, the fresh search offers
+/// intra-distance + budget, and `fdv` is unused. The reach set and every
+/// budget depend only on geometry (and, for kNN, on the cached k-th
+/// distance they are validated against), so gates stay exact across any
+/// object movement.
+struct ResultGate {
+  PartitionId part = kInvalidId;
+  DoorId door = kInvalidId;
+  double budget = 0.0;
+  double fdv = kInfDistance;
+};
 
 /// Reusable state for one thread's distance-aware queries.
 struct QueryScratch {
@@ -58,6 +78,12 @@ struct QueryScratch {
   /// Partitions whose object population the running range/kNN query has
   /// examined — the epoch dependency set of its cached result.
   std::vector<PartitionId> result_deps;
+  /// Range query's side plan: every DPT side its door expansion reached,
+  /// then sorted and merged to one widest budget per (part, door).
+  std::vector<ResultGate> sides;
+  /// Range query's result, one bit per object id; all-zero between
+  /// queries (range_query.cc sets and emits it).
+  std::vector<uint64_t> result_bits;
 
   /// Approximate-kNN tier buffers (knn_query.cc): per-object SIMD lower
   /// bounds, the bound-sorted candidate order, and the per-door memo of

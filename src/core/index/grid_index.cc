@@ -93,12 +93,6 @@ bool GridBucket::Remove(ObjectId id, const Point& position) {
   return false;
 }
 
-void GridBucket::CollectAll(std::vector<ObjectId>* out) const {
-  for (const auto& cell : cells_) {
-    for (const auto& [id, pos] : cell) out->push_back(id);
-  }
-}
-
 namespace {
 
 /// Batched intra-partition distances from `q` to every object of `cell`,

@@ -122,9 +122,9 @@ inline void FlushBucketStats(BucketScratch* scratch) {
 /// pairs; all distances reported by searches are intra-partition walking
 /// distances (obstructed and metric-scaled as the partition dictates).
 ///
-/// Thread-safety: CollectAll/RangeSearch/NnSearch and the cell accessors
-/// are const and keep all traversal state (cell frontiers, candidate
-/// heaps) in locals or caller-provided scratch/output buffers, so
+/// Thread-safety: ForEachId/CollectAll/RangeSearch/NnSearch and the cell
+/// accessors are const and keep all traversal state (cell frontiers,
+/// candidate heaps) in locals or caller-provided scratch/output buffers, so
 /// concurrent readers are safe. Insert/Remove require external
 /// synchronization.
 class GridBucket {
@@ -148,8 +148,19 @@ class GridBucket {
   /// Grid cells covering the partition's bounding box.
   size_t cell_count() const { return cells_.size(); }
 
+  /// Calls visit(id) for every object in the bucket (whole-partition
+  /// inclusion).
+  template <typename Visit>
+  void ForEachId(const Visit& visit) const {
+    for (const auto& cell : cells_) {
+      for (const auto& [id, pos] : cell) visit(id);
+    }
+  }
+
   /// Appends every object id in the bucket (whole-partition inclusion).
-  void CollectAll(std::vector<ObjectId>* out) const;
+  void CollectAll(std::vector<ObjectId>* out) const {
+    ForEachId([out](ObjectId id) { out->push_back(id); });
+  }
 
   /// rangeSearch(B, q, r): appends (id, distance) of all objects whose
   /// intra-partition distance from `q` is <= r. Cells are pruned by the

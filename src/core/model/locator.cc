@@ -21,9 +21,9 @@ Result<PartitionId> PartitionLocator::GetHostPartition(
   INDOOR_COUNTER_INC("index.locator.lookups");
   PartitionId best = kInvalidId;
   double best_area = 0.0;
-  for (uint32_t id : rtree_.QueryPoint(p)) {
+  rtree_.QueryPoint(p, [&](uint32_t id) {
     const Partition& part = plan_->partition(id);
-    if (!part.Contains(p)) continue;
+    if (!part.Contains(p)) return;
     const double area = part.footprint().outer().Area();
     const bool better =
         best == kInvalidId ||
@@ -35,7 +35,7 @@ Result<PartitionId> PartitionLocator::GetHostPartition(
       best = id;
       best_area = area;
     }
-  }
+  });
   if (best == kInvalidId) {
     INDOOR_COUNTER_INC("index.locator.misses");
     std::ostringstream msg;

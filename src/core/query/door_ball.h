@@ -24,9 +24,11 @@
 //    both Dijkstra frontiers, so a run that tests before each visit emits
 //    the Midx sequence; its push prune drops only doors the scan would
 //    have stopped at or beyond, because the test never loosens.
-//  * Only ExpandWithin (range, which sorts and dedups its result) may take
-//    the unordered block-row path: with a static radius strictly below
-//    the source's escape radius, every accepted door is a cell member.
+//  * Only ExpandWithin (range, whose result is a set: it merges the
+//    visited doors into a side plan and emits its ids from a bitmap) may
+//    take the unordered block-row path: with a static radius strictly
+//    below the source's escape radius, every accepted door is a cell
+//    member.
 //  * Unreachable-door tail. Midx rows end with the unreachable doors at
 //    +inf, ascending id. When an ordered run neither stopped nor pruned,
 //    it visits the unvisited doors at +inf, ascending id, while the test

@@ -244,9 +244,28 @@ void QueryCache::CountEpochReject() const {
   INDOOR_COUNTER_INC("cache.epoch_rejects");
 }
 
+void CanonicalizeGates(bool widest, std::vector<ResultGate>* gates) {
+  std::sort(gates->begin(), gates->end(),
+            [](const ResultGate& a, const ResultGate& b) {
+              return a.part != b.part ? a.part < b.part : a.door < b.door;
+            });
+  size_t w = 0;
+  for (size_t i = 0; i < gates->size(); ++i) {
+    const ResultGate& next = (*gates)[i];
+    if (w > 0 && (*gates)[w - 1].part == next.part &&
+        (*gates)[w - 1].door == next.door) {
+      ResultGate& kept = (*gates)[w - 1];
+      kept.budget = widest ? std::max(kept.budget, next.budget)
+                           : std::min(kept.budget, next.budget);
+    } else {
+      (*gates)[w++] = next;
+    }
+  }
+  gates->resize(w);
+}
+
 void QueryCache::InsertResult(uint8_t kind, const Point& p, uint64_t param,
                               std::span<const PartitionId> deps,
-                              std::span<const ResultGate> gates,
                               ResultEntry entry) const {
   entry.p = p;
   entry.param = param;
@@ -261,28 +280,6 @@ void QueryCache::InsertResult(uint8_t kind, const Point& p, uint64_t param,
                                  return a.part == b.part;
                                }),
                    entry.deps.end());
-  // Canonicalize gates: one per (part, door), keeping the widest range
-  // budget (admission is monotone in r2) / the tightest kNN leg (offers
-  // are monotone in r2 the other way). kind parity encodes the flavor:
-  // even = range, odd = kNN.
-  const bool knn = (kind & 1) != 0;
-  entry.gates.assign(gates.begin(), gates.end());
-  std::sort(entry.gates.begin(), entry.gates.end(),
-            [](const ResultGate& a, const ResultGate& b) {
-              return a.part != b.part ? a.part < b.part : a.door < b.door;
-            });
-  size_t w = 0;
-  for (size_t i = 0; i < entry.gates.size(); ++i) {
-    if (w > 0 && entry.gates[w - 1].part == entry.gates[i].part &&
-        entry.gates[w - 1].door == entry.gates[i].door) {
-      ResultGate& kept = entry.gates[w - 1];
-      kept.budget = knn ? std::min(kept.budget, entry.gates[i].budget)
-                        : std::max(kept.budget, entry.gates[i].budget);
-    } else {
-      entry.gates[w++] = entry.gates[i];
-    }
-  }
-  entry.gates.resize(w);
   const size_t bytes = EntryBytes(entry);
   result_cache_.Insert(MakeResultKey(kind, p, param), std::move(entry), bytes);
 }
@@ -321,8 +318,8 @@ void QueryCache::InsertRangeResult(const Point& p, double r, uint8_t kind,
                                    const std::vector<ObjectId>& result) const {
   ResultEntry entry;
   entry.ids = result;
-  InsertResult(kind, p, std::bit_cast<uint64_t>(r), deps, gates,
-               std::move(entry));
+  entry.gates.assign(gates.begin(), gates.end());
+  InsertResult(kind, p, std::bit_cast<uint64_t>(r), deps, std::move(entry));
 }
 
 void QueryCache::CommitRepairedRange(
@@ -337,8 +334,9 @@ void QueryCache::InsertKnnResult(const Point& p, size_t k, uint8_t kind,
                                  const std::vector<Neighbor>& result) const {
   ResultEntry entry;
   entry.neighbors = result;
-  InsertResult(kind, p, static_cast<uint64_t>(k), deps, gates,
-               std::move(entry));
+  entry.gates.assign(gates.begin(), gates.end());
+  CanonicalizeGates(/*widest=*/false, &entry.gates);
+  InsertResult(kind, p, static_cast<uint64_t>(k), deps, std::move(entry));
 }
 
 void QueryCache::CommitRepairedKnn(const Point& p, size_t k, uint8_t kind,

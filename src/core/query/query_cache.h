@@ -60,6 +60,7 @@
 #include <span>
 #include <vector>
 
+#include "core/distance/query_scratch.h"
 #include "core/index/object_store.h"
 #include "core/model/locator.h"
 #include "geometry/rect.h"
@@ -97,24 +98,12 @@ struct QueryCacheOptions {
   size_t shards = 16;
 };
 
-/// One residual search budget of a cached range/kNN result — pure
-/// geometry, recorded at the SearchSide call sites of the fresh
-/// execution. For a range result the fresh search admits an object of
-/// `part` reached via `door` iff fdv <= budget (whole-partition
-/// inclusion) or its intra-partition distance from the door midpoint is
-/// <= budget, with `budget` the largest residual radius r2 any door
-/// expansion granted that (part, door) pair. For a kNN result `budget`
-/// is the smallest accumulated q-to-door leg r2, and the fresh search
-/// offers intra-distance + budget; `fdv` is unused. Because the reach
-/// set and every budget depend only on geometry (and, for kNN, on the
-/// cached k-th distance they are validated against), gates stay exact
-/// across any object movement.
-struct ResultGate {
-  PartitionId part = kInvalidId;
-  DoorId door = kInvalidId;
-  double budget = 0.0;
-  double fdv = kInfDistance;
-};
+/// Sorts `gates` by (part, door) and merges each (part, door) run into one
+/// gate: the widest budget when `widest` (range admission is monotone in
+/// the budget), the tightest otherwise (kNN offers grow with the leg). The
+/// canonical form of a cached result's gates (ResultGate,
+/// core/distance/query_scratch.h); range builds its side plan with it.
+void CanonicalizeGates(bool widest, std::vector<ResultGate>* gates);
 
 /// Probe verdict for a cached range/kNN result.
 enum class ResultProbe : uint8_t {
@@ -133,7 +122,7 @@ struct StaleResult {
   std::vector<ObjectId> changed;      // deduplicated journal ids
 };
 
-/// The calling thread's reusable StaleResult (and, during fresh
+/// The calling thread's reusable StaleResult (and, during fresh kNN
 /// executions, gate-recording buffer) — same idiom as the field staging
 /// buffer: one query at a time per thread, capacity persists.
 StaleResult& TlsStaleResult();
@@ -183,12 +172,11 @@ class QueryCache {
   }
 
   /// Caches a Qr(p, r) result. `deps` is the set of partitions whose
-  /// object population the result depends on and `gates` the residual
-  /// budgets the search evaluated (duplicates allowed in both; the entry
-  /// stores them canonicalized — deps with their current epochs, gates
-  /// merged per (part, door) keeping the widest range budget / tightest
-  /// kNN leg). Must be called before any subsequent write, i.e. from
-  /// within the query that computed `result` (single-writer contract).
+  /// object population the result depends on (duplicates allowed; the
+  /// entry stores them once, with their current epochs) and `gates` the
+  /// query's side plan, already canonical (CanonicalizeGates, widest).
+  /// Must be called before any subsequent write, i.e. from within the
+  /// query that computed `result` (single-writer contract).
   void InsertRangeResult(const Point& p, double r, uint8_t kind,
                          std::span<const PartitionId> deps,
                          std::span<const ResultGate> gates,
@@ -205,12 +193,13 @@ class QueryCache {
   void CommitRepairedRange(const Point& p, double r, uint8_t kind,
                            const std::vector<ObjectId>& result) const;
 
-  /// Qnn(p, k) analogues of the range-result group above. A stale kNN
-  /// entry is patched exactly by the query layer — moved objects are
-  /// removed from / merged into the cached top-k against the cached k-th
-  /// bound (see knn_query.cc) — and committed here; when the patch cannot
-  /// be proven exact the caller records a reject via CountEpochReject and
-  /// re-solves.
+  /// Qnn(p, k) analogues of the range-result group above; InsertKnnResult
+  /// takes the gates as recorded and canonicalizes them (tightest leg). A
+  /// stale kNN entry is patched exactly by the query layer — moved objects
+  /// are removed from / merged into the cached top-k against the cached
+  /// k-th bound (see knn_query.cc) — and committed here; when the patch
+  /// cannot be proven exact the caller records a reject via
+  /// CountEpochReject and re-solves.
   ResultProbe ProbeKnnResult(const Point& p, size_t k, uint8_t kind,
                              std::vector<Neighbor>* out,
                              StaleResult* stale) const;
@@ -322,9 +311,10 @@ class QueryCache {
                           std::vector<ObjectId>* out_ids,
                           std::vector<Neighbor>* out_neighbors,
                           StaleResult* stale) const;
+  /// Shared insert body: stamps `deps` with their epochs into `entry`,
+  /// whose payload and canonical gates the caller filled.
   void InsertResult(uint8_t kind, const Point& p, uint64_t param,
                     std::span<const PartitionId> deps,
-                    std::span<const ResultGate> gates,
                     ResultEntry entry) const;
   /// Shared body of the CommitRepaired* pair: in-place payload patch +
   /// epoch refresh via ShardedCache::Mutate. Exactly one of

@@ -1,6 +1,10 @@
 #include "core/query/range_query.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/distance/query_scratch.h"
 #include "core/query/door_ball.h"
@@ -12,48 +16,46 @@
 namespace indoor {
 namespace {
 
-/// Lines 11-20 of Algorithm 5 for one DPT side (partition + fdv value):
-/// whole-partition inclusion when fdv(dj, part) <= r2, else a grid-pruned
-/// intra-partition range search anchored at door dj. `found` is a reusable
-/// staging buffer for the bucket results. `deps`/`gates` (optional,
-/// paired) accumulate the epoch dependency set and the repair budgets of
-/// the query's cached result: every partition reached here is recorded,
-/// including empty ones — reaching a partition means its population
-/// matters, whether or not it currently holds objects. The reach set and
-/// the budgets themselves are object-independent (pruning uses only Md2d
-/// geometry and r), so a cached result is exactly as valid as the
-/// recorded partitions' epochs, and a stale one can be repaired by
-/// re-testing just the moved objects against the gates.
-void SearchSide(const IndexFramework& index, PartitionId part, double fdv,
-                DoorId dj, double r2, BucketScratch* scratch,
-                std::vector<Neighbor>* found, std::vector<ObjectId>* result,
-                std::vector<PartitionId>* deps,
-                std::vector<ResultGate>* gates) {
-  if (part == kInvalidId) return;
-  if (deps != nullptr) {
-    deps->push_back(part);
-    gates->push_back({part, dj, r2, fdv});
+/// The query's result as one bit per object id, over the scratch's
+/// bitmap, which is all-zero between queries. Add sets an id's bit and
+/// counts the id the first time. Emit returns the set ids in ascending
+/// order, in a vector reserved to that count, and zeroes every word it
+/// scans. An object admitted through several doors, or by the host search
+/// and a door, is emitted once.
+class ResultBits {
+ public:
+  ResultBits(std::vector<uint64_t>* words, size_t objects) : words_(words) {
+    const size_t need = (objects + 63) / 64;
+    if (words_->size() < need) words_->resize(need);  // new words are zero
   }
-  // Hotness telemetry: every reached partition is a visit, even an empty
-  // one — reaching it means its population matters to this query (the
-  // same reasoning the dependency set uses). Settles attributed below.
-  INDOOR_METRICS_ONLY(const uint64_t hot_before = scratch->objects_tested;
-                      scratch->hot.emplace_back(part, 0);)
-  const GridBucket& bucket = index.objects().bucket(part);
-  if (bucket.size() == 0) return;
-  if (fdv <= r2) {
-    INDOOR_COUNTER_INC("index.grid.collect_all");
-    bucket.CollectAll(result);
-    return;
+
+  void Add(ObjectId id) {
+    const size_t w = id / 64;
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    count_ += ((*words_)[w] & bit) == 0;
+    (*words_)[w] |= bit;
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w + 1);
   }
-  found->clear();
-  bucket.RangeSearch(index.plan().partition(part),
-                     index.plan().door(dj).Midpoint(), r2, found, scratch);
-  for (const Neighbor& nb : *found) result->push_back(nb.id);
-  INDOOR_METRICS_ONLY(scratch->hot.back().second =
-                          static_cast<uint32_t>(scratch->objects_tested -
-                                                hot_before);)
-}
+
+  std::vector<ObjectId> Emit() {
+    std::vector<ObjectId> ids;
+    ids.reserve(count_);
+    for (size_t w = lo_; w < hi_; ++w) {
+      for (uint64_t word = std::exchange((*words_)[w], 0); word != 0;
+           word &= word - 1) {
+        ids.push_back(static_cast<ObjectId>(w * 64 + std::countr_zero(word)));
+      }
+    }
+    return ids;
+  }
+
+ private:
+  std::vector<uint64_t>* words_;
+  size_t count_ = 0;
+  size_t lo_ = std::numeric_limits<size_t>::max();  // touched words [lo, hi)
+  size_t hi_ = 0;
+};
 
 /// Would a fresh Qr(q, r) admit an object currently at `o`? Evaluates the
 /// exact gate expressions of the full search: the host-partition direct
@@ -152,29 +154,24 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   const ScratchDecayGuard decay_guard(scratch);
   std::vector<Neighbor>& found = scratch->neighbors;
   std::vector<PartitionId>* deps = nullptr;
-  std::vector<ResultGate>* gates = nullptr;
   if (cache != nullptr) {
     deps = &scratch->result_deps;
     deps->clear();
     deps->push_back(v);  // the host bucket is always examined
-    gates = &TlsStaleResult().gates;
-    gates->clear();
   }
+  ResultBits bits(&scratch->result_bits, index.objects().size());
 
   // Line 2: search the host partition directly.
   found.clear();
-  INDOOR_METRICS_ONLY(
-      const uint64_t hot_before = scratch->bucket.objects_tested;
-      scratch->bucket.hot.emplace_back(v, 0);)
+  INDOOR_METRICS_ONLY(uint64_t host_tested = scratch->bucket.objects_tested;)
   {
     INDOOR_TRACE_SPAN("host_search");
     index.objects().bucket(v).RangeSearch(plan.partition(v), q, r, &found,
                                           &scratch->bucket);
   }
-  INDOOR_METRICS_ONLY(scratch->bucket.hot.back().second =
-                          static_cast<uint32_t>(
-                              scratch->bucket.objects_tested - hot_before);)
-  for (const Neighbor& nb : found) result.push_back(nb.id);
+  INDOOR_METRICS_ONLY(host_tested =
+                          scratch->bucket.objects_tested - host_tested;)
+  for (const Neighbor& nb : found) bits.Add(nb.id);
 
   // Lines 3-20: expand through every leaveable door of the host partition.
   // All q-to-door legs come from one batched geodesic solve rooted at q.
@@ -185,30 +182,84 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
                   src_doors, &scratch->geo, src_leg.data());
   const DoorPartitionTable& dpt = index.dpt();
   DoorBall ball(index, options.use_index_matrix, &scratch->door);
+  std::vector<ResultGate>& sides = scratch->sides;
+  sides.clear();
   {
     INDOOR_TRACE_SPAN("door_expansion");
+    // Every visited door contributes its two DPT sides to the side plan.
+    // The result is a set, so only the plan's canonical form matters: the
+    // unordered expansion suffices, and one search per (part, door) at
+    // its widest budget admits what all of that pair's budgets admit
+    // (GridBucket::RangeSearch's cell prune, whole-cell admit and
+    // per-object test are monotone in the budget).
     for (size_t i = 0; i < src_doors.size(); ++i) {
       const double r1 = r - src_leg[i];
       if (!(r1 >= 0)) continue;  // NaN: an unreachable leg under r = +inf
-      // The result is sorted and deduplicated below, so only the SET of
-      // (door, r2) side searches matters: the unordered form suffices.
       ball.ExpandWithin(src_doors[i], r1, [&](DoorId dj, double d) {
         const double r2 = r1 - d;
-        SearchSide(index, dpt[dj].part1, dpt[dj].dist1, dj, r2,
-                   &scratch->bucket, &found, &result, deps, gates);
-        SearchSide(index, dpt[dj].part2, dpt[dj].dist2, dj, r2,
-                   &scratch->bucket, &found, &result, deps, gates);
+        // NaN: a door unreachable from this source, visited at +inf under
+        // r1 = +inf. Such a side admits nothing, and in the merge it could
+        // displace the number another source grants the same pair.
+        if (std::isnan(r2)) return;
+        const DptRecord& rec = dpt[dj];
+        if (rec.part1 != kInvalidId) {
+          sides.push_back({rec.part1, dj, r2, rec.dist1});
+        }
+        if (rec.part2 != kInvalidId) {
+          sides.push_back({rec.part2, dj, r2, rec.dist2});
+        }
       });
     }
-  }
-  INDOOR_METRICS_ONLY(ball.FlushStats();
-                      FlushBucketStats(&scratch->bucket);
-                      index.hotness().FlushVisits(&scratch->bucket.hot);)
+    CanonicalizeGates(/*widest=*/true, &sides);
 
-  std::sort(result.begin(), result.end());
-  result.erase(std::unique(result.begin(), result.end()), result.end());
+    // Lines 11-20, once per reached partition: whole-partition inclusion
+    // when any side has fdv <= budget, else one grid-pruned range search
+    // per door at its widest budget. Every reached partition is a
+    // dependency of the cached result, an empty one included: reaching it
+    // means its population matters. The plan depends only on geometry and
+    // r, so it also serves as the cached result's repair gates.
+    for (size_t i = 0, end = 0; i < sides.size(); i = end) {
+      const PartitionId part = sides[i].part;
+      bool whole = false;
+      for (end = i; end < sides.size() && sides[end].part == part; ++end) {
+        whole |= sides[end].fdv <= sides[end].budget;
+      }
+      if (deps != nullptr && part != v) deps->push_back(part);
+      INDOOR_METRICS_ONLY(
+          const uint64_t tested_before = scratch->bucket.objects_tested;)
+      const GridBucket& bucket = index.objects().bucket(part);
+      if (bucket.size() != 0 && whole) {
+        INDOOR_COUNTER_INC("index.grid.collect_all");
+        bucket.ForEachId([&bits](ObjectId id) { bits.Add(id); });
+      } else if (bucket.size() != 0) {
+        for (size_t j = i; j < end; ++j) {
+          found.clear();
+          bucket.RangeSearch(plan.partition(part),
+                             plan.door(sides[j].door).Midpoint(),
+                             sides[j].budget, &found, &scratch->bucket);
+          for (const Neighbor& nb : found) bits.Add(nb.id);
+        }
+      }
+      // Hotness: one visit per reached partition; a door back into the
+      // host adds to the host search's visit.
+      INDOOR_METRICS_ONLY(const uint64_t tested =
+                              scratch->bucket.objects_tested - tested_before;
+                          if (part == v) {
+                            host_tested += tested;
+                          } else {
+                            scratch->bucket.hot.emplace_back(
+                                part, static_cast<uint32_t>(tested));
+                          })
+    }
+  }
+  INDOOR_METRICS_ONLY(
+      scratch->bucket.hot.emplace_back(v, static_cast<uint32_t>(host_tested));
+      ball.FlushStats(); FlushBucketStats(&scratch->bucket);
+      index.hotness().FlushVisits(&scratch->bucket.hot);)
+
+  result = bits.Emit();
   if (cache != nullptr) {
-    cache->InsertRangeResult(q, r, result_kind, *deps, *gates, result);
+    cache->InsertRangeResult(q, r, result_kind, *deps, sides, result);
   }
   return served(std::move(result));
 }

@@ -287,29 +287,33 @@ void RTree::BulkLoad(std::vector<std::pair<Rect, uint32_t>> items) {
   root_->parent = nullptr;
 }
 
-std::vector<uint32_t> RTree::QueryPoint(const Point& p) const {
-  std::vector<uint32_t> out;
-  std::vector<const Node*> stack{root_.get()};
-  INDOOR_METRICS_ONLY(uint64_t node_visits = 0;)
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    INDOOR_METRICS_ONLY(++node_visits;)
-    if (!node->mbr.Contains(p) && node->Fanout() > 0) continue;
-    if (node->leaf) {
-      for (const auto& [r, id] : node->entries) {
-        if (r.Contains(p)) out.push_back(id);
-      }
-    } else {
-      for (const auto& c : node->children) {
-        if (c->mbr.Contains(p)) stack.push_back(c.get());
-      }
+namespace {
+
+/// Calls hit(ctx, id) for every leaf entry under `node` that contains `p`,
+/// counting the child nodes it enters in *visits.
+void DescendPoint(const RTree::Node& node, const Point& p, const void* ctx,
+                  void (*hit)(const void*, uint32_t), uint64_t* visits) {
+  if (node.leaf) {
+    for (const auto& [r, id] : node.entries) {
+      if (r.Contains(p)) hit(ctx, id);
     }
+    return;
   }
+  for (const auto& c : node.children) {
+    if (!c->mbr.Contains(p)) continue;
+    ++*visits;
+    DescendPoint(*c, p, ctx, hit, visits);
+  }
+}
+
+}  // namespace
+
+void RTree::QueryPointErased(const Point& p, const void* ctx,
+                             void (*hit)(const void*, uint32_t)) const {
+  uint64_t node_visits = 1;  // the root
+  if (root_->mbr.Contains(p)) DescendPoint(*root_, p, ctx, hit, &node_visits);
   INDOOR_COUNTER_INC("index.rtree.point_queries");
-  INDOOR_METRICS_ONLY(
-      INDOOR_COUNTER_ADD("index.rtree.node_visits", node_visits);)
-  return out;
+  INDOOR_COUNTER_ADD("index.rtree.node_visits", node_visits);
 }
 
 std::vector<uint32_t> RTree::QueryRect(const Rect& window) const {

@@ -39,8 +39,15 @@ class RTree {
   /// Inserts one rectangle.
   void Insert(const Rect& rect, uint32_t id);
 
-  /// Ids of all rectangles containing `p` (closed containment).
-  std::vector<uint32_t> QueryPoint(const Point& p) const;
+  /// Calls visit(id) for every rectangle containing `p` (closed
+  /// containment). Descends recursively over the tree's few levels, so a
+  /// point query allocates nothing.
+  template <typename Visit>
+  void QueryPoint(const Point& p, const Visit& visit) const {
+    QueryPointErased(p, &visit, [](const void* ctx, uint32_t id) {
+      (*static_cast<const Visit*>(ctx))(id);
+    });
+  }
 
   /// Ids of all rectangles intersecting `window`.
   std::vector<uint32_t> QueryRect(const Rect& window) const;
@@ -59,6 +66,9 @@ class RTree {
   void CheckInvariants() const;
 
  private:
+  /// QueryPoint's body: hit(ctx, id) for every containing rectangle.
+  void QueryPointErased(const Point& p, const void* ctx,
+                        void (*hit)(const void* ctx, uint32_t id)) const;
   Node* ChooseLeaf(Node* node, const Rect& rect) const;
   void SplitNode(Node* node);
   void AdjustUpward(Node* node);

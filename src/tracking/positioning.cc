@@ -36,10 +36,10 @@ ReaderDeployment::ReaderDeployment(std::vector<Reader> readers)
 
 std::vector<uint32_t> ReaderDeployment::Detect(const Point& p) const {
   std::vector<uint32_t> out;
-  for (uint32_t id : rtree_.QueryPoint(p)) {
+  rtree_.QueryPoint(p, [&](uint32_t id) {
     const Reader& reader = readers_[id];
     if (Distance(reader.position, p) <= reader.range) out.push_back(id);
-  }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -25,6 +25,7 @@
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
+#include "indoor/floor_plan_builder.h"
 #include "indoor/sample_plans.h"
 #include "util/sharded_cache.h"
 
@@ -463,6 +464,62 @@ TEST(QueryCacheEntryPointTest, NonFiniteInputsAnswerLikeCacheOff) {
     EXPECT_TRUE(engine.Range(inside, -1.0).empty());
     EXPECT_EQ(cache ? cache->ResultStats().insertions : 0, inserted)
         << "a rejected radius must not cache a result";
+  }
+}
+
+// Under r = +inf, door expansion from one source door visits a door it
+// cannot reach at d = +inf, so that door's sides get the budget
+// +inf - +inf = NaN. The cached gates once merged budgets with std::max,
+// which keeps whichever of NaN and +inf came first, so a NaN could
+// displace the +inf another source door grants the same (partition, door)
+// pair; repairing the entry then rejected an object that moved into that
+// partition. Plan: host h has a one-way dead-end door s1 (created first,
+// so it expands first) and a two-way door s2 to b; door dj connects b to
+// room p.
+FloorPlan MakeDeadEndDoorPlan() {
+  FloorPlanBuilder b;
+  const PartitionId h =
+      b.AddPartition("h", PartitionKind::kRoom, 1, Rect(0, 0, 4, 4));
+  const PartitionId dead_end =
+      b.AddPartition("e", PartitionKind::kRoom, 1, Rect(-4, 0, 0, 4));
+  const PartitionId mid =
+      b.AddPartition("b", PartitionKind::kHallway, 1, Rect(4, 0, 8, 4));
+  const PartitionId p =
+      b.AddPartition("p", PartitionKind::kRoom, 1, Rect(8, 0, 12, 4));
+  b.AddUnidirectionalDoor("s1", Segment({0, 1}, {0, 2}), h, dead_end);
+  b.AddBidirectionalDoor("s2", Segment({4, 1}, {4, 2}), h, mid);
+  b.AddBidirectionalDoor("dj", Segment({8, 1}, {8, 2}), mid, p);
+  Result<FloorPlan> plan = std::move(b).Build();
+  INDOOR_CHECK(plan.ok()) << plan.status();
+  return std::move(plan).value();
+}
+
+TEST(QueryCacheRepairTest, NanBudgetNeverDisplacesInfiniteRadiusGate) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Point q(1, 1);
+  for (const bool hierarchy : {false, true}) {
+    SCOPED_TRACE(hierarchy ? "hierarchy" : "flat");
+    IndexOptions on = CacheOptions(true);
+    IndexOptions off = CacheOptions(false);
+    on.use_hierarchy = off.use_hierarchy = hierarchy;
+    QueryEngine cached(MakeDeadEndDoorPlan(), on);
+    QueryEngine uncached(MakeDeadEndDoorPlan(), off);
+    const PartitionId h = cached.Locate(q).value();
+    const PartitionId p = cached.Locate({10, 2}).value();
+    for (QueryEngine* engine : {&cached, &uncached}) {
+      ASSERT_TRUE(engine->AddObject(h, {3, 3}).ok());
+      ASSERT_TRUE(engine->AddObject(p, {10, 3}).ok());
+    }
+    EXPECT_EQ(cached.Range(q, inf), uncached.Range(q, inf));
+    for (QueryEngine* engine : {&cached, &uncached}) {
+      ASSERT_TRUE(engine->MoveObject(0, p, {11, 1}).ok());
+    }
+    const uint64_t repairs = cached.index().query_cache()->Repairs();
+    const std::vector<ObjectId> expect = uncached.Range(q, inf);
+    EXPECT_EQ(expect, (std::vector<ObjectId>{0, 1}));
+    EXPECT_EQ(cached.Range(q, inf), expect);
+    EXPECT_EQ(cached.index().query_cache()->Repairs(), repairs + 1)
+        << "the second query must take the repair path";
   }
 }
 

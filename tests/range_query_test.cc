@@ -4,11 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <set>
+#include <utility>
+
 #include "baseline/linear_scan.h"
+#include "core/query/query_engine.h"
+#include "core/query/reference_impls.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
 #include "indoor/sample_plans.h"
+#include "util/metrics.h"
 
 namespace indoor {
 namespace {
@@ -136,6 +145,131 @@ TEST(RangeQueryGeneratedTest, MatchesOracleOnGeneratedBuilding) {
                 expect);
     }
   }
+}
+
+// Distinct (partition, door) DPT sides of Qr(q, r)'s door expansion,
+// counted on the flat Md2d matrix: a door counts when some leave door of
+// q's host reaches it within r.
+size_t DistinctSides(const IndexFramework& flat, const Point& q, double r) {
+  const FloorPlan& plan = flat.plan();
+  const PartitionId v = flat.locator().GetHostPartition(q).value();
+  const std::vector<DoorId>& src = plan.LeaveDoors(v);
+  std::vector<double> leg(src.size());
+  GeodesicScratch geo;
+  flat.locator().DistVMany(v, q, src, &geo, leg.data());
+  std::set<std::pair<PartitionId, DoorId>> sides;
+  for (size_t i = 0; i < src.size(); ++i) {
+    const double r1 = r - leg[i];
+    if (!(r1 >= 0)) continue;
+    const double* row = flat.d2d_matrix().Row(src[i]);
+    for (DoorId dj = 0; dj < plan.door_count(); ++dj) {
+      if (row[dj] > r1) continue;
+      for (const PartitionId part : {flat.dpt()[dj].part1,
+                                     flat.dpt()[dj].part2}) {
+        if (part != kInvalidId) sides.insert({part, dj});
+      }
+    }
+  }
+  return sides.size();
+}
+
+// Bucket searches so far (always 0 in a metrics-OFF build).
+uint64_t GridSearches() {
+#if INDOOR_METRICS_ENABLED
+  return metrics::MetricsRegistry::Global()
+      .GetCounter("index.grid.searches")
+      .Value();
+#else
+  return 0;
+#endif
+}
+
+// A hallway host has many leave doors, and their expansions reach the same
+// (partition, door) sides over and over. From q in every hallway, the
+// Midx, full-row and hierarchy engines, cache off and on (a miss, then a
+// hit), must return reference::RangeQuery's answer on a flat cache-off
+// engine bit for bit, in strictly ascending id order. A fresh query
+// searches the host bucket and each distinct side's bucket at most once.
+void CheckHallwayHosts(const BuildingConfig& config) {
+  IndexOptions off;
+  off.enable_query_cache = false;
+  IndexOptions on;
+  IndexOptions hier_off = off;
+  hier_off.use_hierarchy = true;
+  IndexOptions hier_on = on;
+  hier_on.use_hierarchy = true;
+  QueryEngine flat(GenerateBuilding(config), off);
+  QueryEngine flat_cached(GenerateBuilding(config), on);
+  QueryEngine hier(GenerateBuilding(config), hier_off);
+  QueryEngine hier_cached(GenerateBuilding(config), hier_on);
+  Rng rng(config.seed + 1);
+  const auto objects = GenerateObjects(flat.plan(), 400, &rng);
+  for (QueryEngine* engine : {&flat, &flat_cached, &hier, &hier_cached}) {
+    PopulateStore(objects, &engine->index().objects());
+  }
+  struct Config {
+    const QueryEngine* engine;
+    bool use_index_matrix;
+    bool cached;
+    const char* name;
+  };
+  const Config configs[] = {
+      {&flat, true, false, "Midx, cache off"},
+      {&flat, false, false, "full row, cache off"},
+      {&hier, true, false, "hierarchy, cache off"},
+      {&flat_cached, true, true, "Midx, cache on"},
+      {&flat_cached, false, true, "full row, cache on"},
+      {&hier_cached, true, true, "hierarchy, cache on"}};
+  size_t hallways = 0;
+  for (const Partition& part : flat.plan().partitions()) {
+    if (part.kind() != PartitionKind::kHallway) continue;
+    ++hallways;
+    const Point q = RandomPointInPartition(part, &rng);
+    for (const double r :
+         {0.0, 7.5, 30.0, std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(testing::Message() << part.name() << " q=" << q
+                                      << " r=" << r);
+      const std::vector<ObjectId> expect =
+          reference::RangeQuery(flat.index(), q, r);
+      EXPECT_EQ(std::adjacent_find(expect.begin(), expect.end(),
+                                   std::greater_equal<>()),
+                expect.end())
+          << "not strictly ascending";
+      const size_t sides = DistinctSides(flat.index(), q, r);
+      for (const Config& c : configs) {
+        SCOPED_TRACE(c.name);
+        const RangeQueryOptions options{.use_index_matrix =
+                                            c.use_index_matrix};
+        const uint64_t searches = GridSearches();
+        EXPECT_EQ(c.engine->Range(q, r, options), expect);
+        EXPECT_LE(GridSearches() - searches, 1 + sides);
+        if (c.cached) {
+          EXPECT_EQ(c.engine->Range(q, r, options), expect);  // a hit
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hallways, static_cast<size_t>(config.floors));
+}
+
+TEST(RangeQueryHallwayTest, MatchesReferenceFromEveryHallway) {
+  BuildingConfig config;
+  config.floors = 3;
+  config.rooms_per_floor = 12;
+  config.obstacle_probability = 0.5;
+  config.seed = 17;
+  CheckHallwayHosts(config);
+}
+
+TEST(RangeQueryHallwayTest, MatchesReferenceWithRoomToRoomAndOneWayDoors) {
+  BuildingConfig config;
+  config.floors = 3;
+  config.rooms_per_floor = 12;
+  config.obstacle_probability = 0.5;
+  config.room_to_room_doors = 0.4;
+  config.one_way_fraction = 0.5;
+  config.seed = 23;
+  CheckHallwayHosts(config);
 }
 
 TEST_F(RangeQueryTest, RangeMonotonicInRadius) {

@@ -31,10 +31,18 @@ std::vector<uint32_t> BruteForcePoint(
   return out;
 }
 
+// QueryPoint's hits, collected through its visitor and sorted.
+std::vector<uint32_t> PointHits(const RTree& tree, const Point& p) {
+  std::vector<uint32_t> out;
+  tree.QueryPoint(p, [&out](uint32_t id) { out.push_back(id); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 TEST(RTreeTest, EmptyTreeQueries) {
   RTree tree;
   EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.QueryPoint({1, 1}).empty());
+  EXPECT_TRUE(PointHits(tree, {1, 1}).empty());
   EXPECT_TRUE(tree.QueryRect(Rect(0, 0, 10, 10)).empty());
   EXPECT_EQ(tree.Height(), 0);
 }
@@ -43,10 +51,10 @@ TEST(RTreeTest, SingleInsertAndQuery) {
   RTree tree;
   tree.Insert(Rect(0, 0, 4, 4), 7);
   EXPECT_EQ(tree.size(), 1u);
-  const auto hits = tree.QueryPoint({2, 2});
+  const auto hits = PointHits(tree, {2, 2});
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], 7u);
-  EXPECT_TRUE(tree.QueryPoint({5, 5}).empty());
+  EXPECT_TRUE(PointHits(tree, {5, 5}).empty());
 }
 
 TEST(RTreeTest, InsertsTriggerSplitsAndStayQueryable) {
@@ -58,8 +66,7 @@ TEST(RTreeTest, InsertsTriggerSplitsAndStayQueryable) {
   tree.CheckInvariants();
   for (int trial = 0; trial < 50; ++trial) {
     const Point p(rng.NextDouble(0, 100), rng.NextDouble(0, 100));
-    auto hits = tree.QueryPoint(p);
-    std::sort(hits.begin(), hits.end());
+    const auto hits = PointHits(tree, p);
     EXPECT_EQ(hits, BruteForcePoint(items, p));
   }
 }
@@ -73,8 +80,7 @@ TEST(RTreeTest, BulkLoadMatchesBruteForce) {
   tree.CheckInvariants();
   for (int trial = 0; trial < 50; ++trial) {
     const Point p(rng.NextDouble(0, 100), rng.NextDouble(0, 100));
-    auto hits = tree.QueryPoint(p);
-    std::sort(hits.begin(), hits.end());
+    const auto hits = PointHits(tree, p);
     EXPECT_EQ(hits, BruteForcePoint(items, p));
   }
 }
@@ -134,8 +140,7 @@ TEST(RTreeTest, BulkLoadThenInsertMixed) {
   all.insert(all.end(), extra.begin(), extra.end());
   for (int trial = 0; trial < 30; ++trial) {
     const Point p(rng.NextDouble(0, 100), rng.NextDouble(0, 100));
-    auto hits = tree.QueryPoint(p);
-    std::sort(hits.begin(), hits.end());
+    const auto hits = PointHits(tree, p);
     EXPECT_EQ(hits, BruteForcePoint(all, p));
   }
 }
@@ -152,7 +157,7 @@ TEST(RTreeTest, HeightGrowsLogarithmically) {
 TEST(RTreeTest, DuplicateRectsAllRetrievable) {
   RTree tree;
   for (uint32_t i = 0; i < 20; ++i) tree.Insert(Rect(0, 0, 1, 1), i);
-  auto hits = tree.QueryPoint({0.5, 0.5});
+  const auto hits = PointHits(tree, {0.5, 0.5});
   EXPECT_EQ(hits.size(), 20u);
 }
 
@@ -160,14 +165,13 @@ TEST(RTreeTest, BulkLoadEmptyIsValid) {
   RTree tree;
   tree.BulkLoad({});
   EXPECT_TRUE(tree.empty());
-  EXPECT_TRUE(tree.QueryPoint({0, 0}).empty());
+  EXPECT_TRUE(PointHits(tree, {0, 0}).empty());
 }
 
 TEST(RTreeTest, PointOnSharedBoundaryHitsBothRects) {
   RTree tree;
   tree.BulkLoad({{Rect(0, 0, 4, 4), 1}, {Rect(4, 0, 8, 4), 2}});
-  auto hits = tree.QueryPoint({4, 2});
-  std::sort(hits.begin(), hits.end());
+  const auto hits = PointHits(tree, {4, 2});
   EXPECT_EQ(hits, (std::vector<uint32_t>{1, 2}));
 }
 

@@ -10,6 +10,7 @@
 #include "core/index/landmark_index.h"
 #include "core/query/knn_query.h"
 #include "core/query/range_query.h"
+#include "util/min_heap.h"
 
 using namespace indoor;
 using namespace indoor::bench;
@@ -50,39 +51,6 @@ void BM_D2dDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_D2dDistance);
-
-/// Heap-vs-bucket frontier on the identical door-pair workload (same seed
-/// as BM_D2dDistance), with an explicit scratch so both sides measure the
-/// steady-state allocation-free solve. The bucket side also runs the SIMD
-/// span relaxation; results are bitwise identical by construction.
-void RunD2dQueueBench(benchmark::State& state, QueueKind kind) {
-  auto& s = Shared();
-  const size_t n = s.engine->plan().door_count();
-  Rng rng(7);
-  const size_t pair_count = SweepCount(256, 64);
-  std::vector<std::pair<DoorId, DoorId>> door_pairs;
-  for (size_t k = 0; k < pair_count; ++k) {
-    door_pairs.push_back({static_cast<DoorId>(rng.NextIndex(n)),
-                          static_cast<DoorId>(rng.NextIndex(n))});
-  }
-  DoorDijkstraScratch scratch;
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& [a, b] = door_pairs[i++ % door_pairs.size()];
-    benchmark::DoNotOptimize(
-        D2dDistance(s.engine->index().graph(), a, b, &scratch, kind));
-  }
-}
-
-void BM_D2dDistanceHeap(benchmark::State& state) {
-  RunD2dQueueBench(state, QueueKind::kHeap);
-}
-BENCHMARK(BM_D2dDistanceHeap);
-
-void BM_D2dDistanceBucket(benchmark::State& state) {
-  RunD2dQueueBench(state, QueueKind::kBucket);
-}
-BENCHMARK(BM_D2dDistanceBucket);
 
 /// Raw extract-min cost isolated from graph relaxation: push a fixed key
 /// set (uniform over four edge-weight windows, Dijkstra-like spread), then

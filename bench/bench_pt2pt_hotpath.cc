@@ -17,10 +17,10 @@
 // --seed <s> (drives building + workload generation; recorded in the JSON
 // so artifacts are reproducible run-to-run), --cache {on,off} (the
 // optimized side's cross-query cache; off makes range/kNN time the
-// algorithm instead of result-cache hits), --queue {heap,bucket} and
-// --landmarks {on,off} (frontier + ALT-pruning knobs of the optimized
-// side). All three default on and are recorded in the JSON, so paired
-// runs can be ratioed and gated against the matching baseline table.
+// algorithm instead of result-cache hits) and --landmarks {on,off} (the
+// optimized side's ALT pruning). Both default on and are recorded in the
+// JSON, so paired runs can be ratioed and gated against the matching
+// baseline table.
 // Speedup ratios and alloc counts are machine-independent, which is what
 // the committed BENCH_baseline.json pins.
 
@@ -86,7 +86,7 @@ void PrintResult(const WorkloadResult& r) {
 }
 
 void WriteJson(const char* path, bool smoke, int floors, uint64_t seed,
-               bool cache_on, bool bucket_queue, bool landmarks,
+               bool cache_on, bool landmarks,
                const std::vector<WorkloadResult>& results) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -95,12 +95,11 @@ void WriteJson(const char* path, bool smoke, int floors, uint64_t seed,
   }
   std::fprintf(f,
                "{\n  \"smoke\": %s,\n  \"floors\": %d,\n"
-               "  \"seed\": %llu,\n  \"cache\": %s,\n  \"queue\": \"%s\",\n"
+               "  \"seed\": %llu,\n  \"cache\": %s,\n"
                "  \"landmarks\": %s,\n  \"workloads\": {\n",
                smoke ? "true" : "false", floors,
                static_cast<unsigned long long>(seed),
-               cache_on ? "true" : "false", bucket_queue ? "bucket" : "heap",
-               landmarks ? "true" : "false");
+               cache_on ? "true" : "false", landmarks ? "true" : "false");
   for (size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];
     std::fprintf(f,
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
   int floors = 10;
   uint64_t seed = 42;
   bool cache_on = true;
-  bool bucket_queue = true;
   bool landmarks = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -145,27 +143,12 @@ int main(int argc, char** argv) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
       cache_on = std::strcmp(argv[++i], "off") != 0;
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      // Frontier selector for the optimized side; the reference side always
-      // runs its historical heap. `--queue heap --landmarks off` therefore
-      // reproduces the pre-bucket optimized path, so two runs of this
-      // binary measure the bucket+landmark gain on the same machine.
-      const char* v = argv[++i];
-      if (std::strcmp(v, "heap") == 0) {
-        bucket_queue = false;
-      } else if (std::strcmp(v, "bucket") == 0) {
-        bucket_queue = true;
-      } else {
-        std::fprintf(stderr, "--queue must be heap|bucket\n");
-        return 1;
-      }
     } else if (std::strcmp(argv[i], "--landmarks") == 0 && i + 1 < argc) {
       landmarks = std::strcmp(argv[++i], "off") != 0;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json <path>] [--floors <n>] "
-                   "[--seed <s>] [--cache on|off] [--queue heap|bucket] "
-                   "[--landmarks on|off]\n",
+                   "[--seed <s>] [--cache on|off] [--landmarks on|off]\n",
                    argv[0]);
       return 1;
     }
@@ -179,7 +162,6 @@ int main(int argc, char** argv) {
   cfg.obstacle_probability = 0.5;
   IndexOptions options;
   options.enable_query_cache = cache_on;
-  options.use_bucket_queue = bucket_queue;
   options.use_landmarks = landmarks;
   QueryEngine engine(GenerateBuilding(cfg), options);
   {
@@ -332,8 +314,7 @@ int main(int argc, char** argv) {
   for (const WorkloadResult& r : results) PrintResult(r);
 
   if (json_path != nullptr) {
-    WriteJson(json_path, smoke, floors, seed, cache_on, bucket_queue,
-              landmarks, results);
+    WriteJson(json_path, smoke, floors, seed, cache_on, landmarks, results);
   }
   return 0;
 }

@@ -7,7 +7,7 @@
 //   bench_query_throughput [--floors N] [--objects N] [--readers 1,2,4,8]
 //                          [--queries-per-reader N] [--positions N]
 //                          [--zipf THETA] [--cache on|off] [--batch B]
-//                          [--queue heap|bucket] [--landmarks on|off]
+//                          [--landmarks on|off]
 //                          [--knn-approx] [--candidates F]
 //                          [--landmark-count N]
 //                          [--obstacles P] [--mix all|distance|range|knn]
@@ -150,10 +150,9 @@ std::string RecordingSeriesJson(const tseries::Recording& recording) {
 void WriteJson(const std::string& path, int floors, size_t objects,
                size_t queries, size_t positions, double zipf, bool cache,
                size_t batch, const std::string& mix, uint64_t seed,
-               bool bucket_queue, bool landmarks, bool knn_approx,
-               const std::vector<Row>& rows, bool query_log,
-               double move_rate, size_t moves, uint64_t repairs,
-               uint64_t epoch_rejects,
+               bool landmarks, bool knn_approx, const std::vector<Row>& rows,
+               bool query_log, double move_rate, size_t moves,
+               uint64_t repairs, uint64_t epoch_rejects,
                const tseries::Recording* recording) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -167,7 +166,7 @@ void WriteJson(const std::string& path, int floors, size_t objects,
                "  \"floors\": %d,\n  \"objects\": %zu,\n"
                "  \"queries_per_reader\": %zu,\n  \"positions\": %zu,\n"
                "  \"zipf\": %.3f,\n  \"cache\": %s,\n  \"batch\": %zu,\n"
-               "  \"mix\": \"%s\",\n  \"queue\": \"%s\",\n"
+               "  \"mix\": \"%s\",\n"
                "  \"landmarks\": %s,\n  \"knn_approx\": %s,\n"
                "  \"query_log\": %s,\n"
                "  \"move_rate\": %.3f,\n  \"moves\": %zu,\n"
@@ -176,7 +175,6 @@ void WriteJson(const std::string& path, int floors, size_t objects,
                "  \"seed\": %llu,\n  \"peak_qps\": %.1f,\n  \"results\": [\n",
                floors, objects, queries, positions, zipf,
                cache ? "true" : "false", batch, mix.c_str(),
-               bucket_queue ? "bucket" : "heap",
                landmarks ? "true" : "false", knn_approx ? "true" : "false",
                query_log ? "true" : "false", move_rate, moves,
                static_cast<unsigned long long>(repairs),
@@ -264,7 +262,6 @@ int main(int argc, char** argv) {
   size_t position_count = 256;
   double zipf = 0.0;
   bool cache = true;
-  bool bucket_queue = true;
   bool landmarks = true;
   size_t batch = 0;  // 0 = free-running reader loop
   // Obstructed rooms make the per-query source-field legs geodesic solves
@@ -300,13 +297,6 @@ int main(int argc, char** argv) {
       zipf = std::stod(next());
     } else if (arg == "--cache") {
       cache = next() != "off";
-    } else if (arg == "--queue") {
-      const std::string v = next();
-      if (v != "heap" && v != "bucket") {
-        std::fprintf(stderr, "--queue must be heap|bucket\n");
-        return 2;
-      }
-      bucket_queue = v == "bucket";
     } else if (arg == "--landmarks") {
       landmarks = next() != "off";
     } else if (arg == "--knn-approx") {
@@ -374,7 +364,6 @@ int main(int argc, char** argv) {
   IndexOptions options;
   options.build_threads = 0;  // build as fast as the hardware allows
   options.enable_query_cache = cache;
-  options.use_bucket_queue = bucket_queue;
   options.use_landmarks = landmarks;
   options.approx_knn = knn_approx;
   if (knn_approx) options.use_landmarks = true;  // embeddings need rows
@@ -394,12 +383,11 @@ int main(int argc, char** argv) {
       batch ? "batch " + std::to_string(batch) : std::string("reader loop");
   std::printf(
       "building: %d floors, %zu doors, %zu objects | %zu positions, "
-      "zipf %.2f, cache %s, queue %s, landmarks %s, knn-approx %s, %s, "
+      "zipf %.2f, cache %s, landmarks %s, knn-approx %s, %s, "
       "move rate %.2f\n",
       floors, plan.door_count(), objects, position_count, zipf,
-      cache ? "on" : "off", bucket_queue ? "bucket" : "heap",
-      landmarks ? "on" : "off", knn_approx ? "on" : "off", mode.c_str(),
-      move_rate);
+      cache ? "on" : "off", landmarks ? "on" : "off", knn_approx ? "on" : "off",
+      mode.c_str(), move_rate);
   const PartitionSampler move_sampler(plan);
   size_t total_moves = 0;
 
@@ -577,12 +565,10 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, floors, objects, queries_per_reader,
-              position_count, zipf, cache, batch, mix, seed, bucket_queue,
-              landmarks, knn_approx, rows,
-              !query_log_path.empty(), move_rate,
-              total_moves, repairs, epoch_rejects,
-              recording.samples.empty() ? nullptr : &recording);
+    WriteJson(json_path, floors, objects, queries_per_reader, position_count,
+              zipf, cache, batch, mix, seed, landmarks, knn_approx, rows,
+              !query_log_path.empty(), move_rate, total_moves, repairs,
+              epoch_rejects, recording.samples.empty() ? nullptr : &recording);
   }
   return 0;
 }

@@ -23,9 +23,10 @@
 //      precisely the heap's pair<> ordering. Duplicate (distance, id)
 //      entries cannot exist: the solvers push only on strict improvement.
 // Quantization therefore orders EXTRACTION only; dist[] keeps exact
-// doubles and every settle order, distance, and prev[] tree is bitwise
-// identical to the binary-heap run. Bucket width affects performance,
-// never results.
+// doubles and every settle order, distance, and prev[] tree is the one a
+// binary-heap Dijkstra would produce. Bucket width affects performance,
+// never results. BucketQueue is the only door-graph frontier
+// (d2d_runner.h); bucket_queue_test drains it in lockstep with MinHeap.
 
 #ifndef INDOOR_CORE_DISTANCE_BUCKET_QUEUE_H_
 #define INDOOR_CORE_DISTANCE_BUCKET_QUEUE_H_
@@ -40,18 +41,9 @@
 
 namespace indoor {
 
-/// Which frontier a door-level Dijkstra uses. Results are bitwise
-/// identical either way (see BucketQueue); the knob exists so benchmarks
-/// and the equivalence tests can compare the two implementations, and so
-/// IndexOptions::use_bucket_queue can fall back to the historical heap.
-enum class QueueKind : uint8_t {
-  kHeap,    ///< Binary heap (util/min_heap.h), the historical frontier.
-  kBucket,  ///< Bounded-weight bucket queue (this header).
-};
-
 /// Monotone bucket frontier with the MinHeap interface (empty/push/top/
-/// pop), so the Dijkstra loops template over either. Prepare() must be
-/// called before each run with the graph's maximum edge weight.
+/// pop), so MinHeap can serve as its order oracle in tests. Prepare() must
+/// be called before each run with the graph's maximum edge weight.
 class BucketQueue {
  public:
   /// Queue entry: (tentative distance, door), ordered lexicographically.

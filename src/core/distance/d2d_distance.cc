@@ -1,26 +1,25 @@
 #include "core/distance/d2d_distance.h"
 
+#include <utility>
+
 #include "core/distance/d2d_runner.h"
 
 namespace indoor {
 namespace {
 
-// Algorithm 1's historical entry semantics expressed over the templated
-// runner loops (d2d_runner.h): stop at `target`'s settle and report its
-// settle distance, or run the frontier dry (target == kInvalidId) and let
-// the caller read the arrays.
+// Algorithm 1's entry semantics over the runner (d2d_runner.h): stop at
+// `target`'s settle and report its settle distance.
 double RunD2d(const DistanceGraph& graph, DoorId ds, DoorId target,
-              DoorDijkstraScratch* scratch, std::vector<PrevEntry>* prev_out,
-              QueueKind kind) {
+              DoorDijkstraScratch* scratch, std::vector<PrevEntry>* prev_out) {
+  INDOOR_CHECK(target < graph.plan().door_count());
   double found = kInfDistance;
-  auto on_settle = [target, &found](DoorId di, double d) {
-    if (di != target) return true;
-    found = d;
-    return false;
-  };
-  RunDoorDijkstra(graph, ds, scratch, kind, prev_out, on_settle);
-  if (target == kInvalidId) return 0.0;
-  return found != kInfDistance ? found : scratch->dist[target];
+  RunDoorDijkstra(graph, ds, scratch, prev_out,
+                  [target, &found](DoorId di, double d) {
+                    if (di != target) return true;
+                    found = d;
+                    return false;
+                  });
+  return found;
 }
 
 }  // namespace
@@ -31,36 +30,24 @@ DoorDijkstraScratch& TlsDoorDijkstraScratch() {
 }
 
 double D2dDistance(const DistanceGraph& graph, DoorId ds, DoorId dt,
-                   DoorDijkstraScratch* scratch, QueueKind kind) {
-  INDOOR_CHECK(dt < graph.plan().door_count());
+                   DoorDijkstraScratch* scratch) {
   if (scratch == nullptr) scratch = &TlsDoorDijkstraScratch();
-  return RunD2d(graph, ds, dt, scratch, nullptr, kind);
+  return RunD2d(graph, ds, dt, scratch, nullptr);
 }
 
 double D2dDistance(const DistanceGraph& graph, DoorId ds, DoorId dt,
                    std::vector<PrevEntry>* prev) {
-  INDOOR_CHECK(dt < graph.plan().door_count());
-  return RunD2d(graph, ds, dt, &TlsDoorDijkstraScratch(), prev,
-                QueueKind::kHeap);
+  return RunD2d(graph, ds, dt, &TlsDoorDijkstraScratch(), prev);
 }
 
 void D2dDistancesFrom(const DistanceGraph& graph, DoorId ds,
-                      std::vector<double>* dist, std::vector<PrevEntry>* prev,
-                      QueueKind kind) {
-  // Build-time callers (Md2d rows) run one call per worker-owned buffers;
-  // the visited/frontier state is local so concurrent builds stay
-  // independent (and bit-identical across thread counts).
-  std::vector<char> visited;
-  if (kind == QueueKind::kBucket) {
-    BucketQueue queue;
-    std::vector<double> cand;
-    std::vector<uint32_t> idx;
-    RunDoorDijkstraBucket(graph, ds, dist, &visited, &queue, &cand, &idx,
-                          prev);
-    return;
-  }
-  MinHeap<std::pair<double, DoorId>> heap;
-  RunDoorDijkstraHeap(graph, ds, dist, &visited, &heap, prev);
+                      std::vector<double>* dist, std::vector<PrevEntry>* prev) {
+  // Build-time callers (Md2d rows) run one call per worker; the Dijkstra
+  // state is local so concurrent builds stay independent (and
+  // bit-identical across thread counts).
+  DoorDijkstraScratch scratch;
+  RunDoorDijkstra(graph, ds, &scratch, prev);
+  *dist = std::move(scratch.dist);
 }
 
 }  // namespace indoor

@@ -7,22 +7,19 @@
 // lazy-insertion equivalent (re-push on improvement, skip settled pops),
 // which visits each door at most once, as the paper requires.
 //
-// Two frontier implementations back the loop (QueueKind): the historical
-// binary heap, and the bounded-weight bucket queue (bucket_queue.h) whose
-// relaxations additionally run through the SIMD span filter (util/simd.h).
-// Both produce bitwise identical distances, settle orders, and prev[]
-// trees; the heap remains the default so legacy callers and the reference
-// oracles keep their exact historical behavior.
+// The loop itself is RunDoorDijkstra (d2d_runner.h): a bounded-weight
+// bucket frontier (bucket_queue.h) whose relaxations run through the SIMD
+// span filter (util/simd.h). It settles doors in (distance, id) order, the
+// order a binary heap would give, and every distance it reports is bitwise
+// equal to the reference oracle's (core/query/reference_impls.h).
 
 #ifndef INDOOR_CORE_DISTANCE_D2D_DISTANCE_H_
 #define INDOOR_CORE_DISTANCE_D2D_DISTANCE_H_
 
-#include <utility>
 #include <vector>
 
 #include "core/distance/bucket_queue.h"
 #include "core/model/distance_graph.h"
-#include "util/min_heap.h"
 
 namespace indoor {
 
@@ -35,14 +32,13 @@ struct PrevEntry {
 };
 
 /// Reusable door-level Dijkstra state (dist/visited arrays sized to the
-/// door count, both frontiers, and the SIMD relaxation staging buffers).
+/// door count, the frontier, and the SIMD relaxation staging buffers).
 /// Owned by exactly one thread at a time; buffers keep their capacity
 /// across queries, so steady-state door expansions perform no heap
 /// allocations (see QueryScratch).
 struct DoorDijkstraScratch {
   std::vector<double> dist;
   std::vector<char> visited;
-  MinHeap<std::pair<double, DoorId>> heap;
   BucketQueue bucket;
   /// Per-span candidate distances / improved-lane indices for the SIMD
   /// batch relaxation (sized to the graph's max out-degree on first use).
@@ -50,27 +46,14 @@ struct DoorDijkstraScratch {
   std::vector<uint32_t> relax_idx;
 };
 
-/// Re-arms a frontier for one Dijkstra run over `graph`; overloads let
-/// the solver loops template over the frontier type.
-inline void ResetFrontier(MinHeap<std::pair<double, DoorId>>* frontier,
-                          const DistanceGraph& graph) {
-  (void)graph;
-  frontier->clear();
-}
-inline void ResetFrontier(BucketQueue* frontier, const DistanceGraph& graph) {
-  frontier->Prepare(graph.max_door_edge_weight());
-}
-
 /// d2dDistance(ds, dt): minimum indoor walking distance from door `ds` to
 /// door `dt`; kInfDistance when unreachable. A null `scratch` uses the
-/// calling thread's buffers. `kind` selects the frontier (results are
-/// bitwise identical; the default keeps legacy callers on the heap).
+/// calling thread's buffers.
 double D2dDistance(const DistanceGraph& graph, DoorId ds, DoorId dt,
-                   DoorDijkstraScratch* scratch = nullptr,
-                   QueueKind kind = QueueKind::kHeap);
+                   DoorDijkstraScratch* scratch = nullptr);
 
 /// As above, also filling `prev` (size = door count) for path
-/// reconstruction via ReconstructDoorPath (shortest_path.h).
+/// reconstruction (D2dShortestPath, shortest_path.h).
 double D2dDistance(const DistanceGraph& graph, DoorId ds, DoorId dt,
                    std::vector<PrevEntry>* prev);
 
@@ -78,8 +61,7 @@ double D2dDistance(const DistanceGraph& graph, DoorId ds, DoorId dt,
 /// (kInfDistance where unreachable). Backs distance-matrix construction
 /// (paper §IV-A). `prev` may be null.
 void D2dDistancesFrom(const DistanceGraph& graph, DoorId ds,
-                      std::vector<double>* dist, std::vector<PrevEntry>* prev,
-                      QueueKind kind = QueueKind::kHeap);
+                      std::vector<double>* dist, std::vector<PrevEntry>* prev);
 
 /// The calling thread's fallback DoorDijkstraScratch.
 DoorDijkstraScratch& TlsDoorDijkstraScratch();

@@ -1,11 +1,13 @@
-// Policy-parameterized core of Algorithm 1 (the door-graph Dijkstra).
-//
-// d2d_distance.cc's two frontier loops (binary heap, bounded-weight bucket
-// queue + SIMD batch relaxation) are generalized here into templates over
-// two policies so other subsystems — the hierarchy index build's
-// early-terminated row solves and its bounded query-time expansions
-// (hierarchy_index.h, hierarchy_distance.h) — can reuse the EXACT solver
-// loop instead of approximating it:
+// The door-graph Dijkstra of Algorithm 1 (paper §III-D1), the one forward
+// settle loop of the distance core. It pops doors from the bounded-weight
+// bucket frontier (bucket_queue.h) and relaxes each settled door's CSR
+// edge span with the SIMD batch kernels (util/simd.h): AddBase forms every
+// candidate d + w, FilterImprovements keeps the lanes that beat dist[],
+// and a scalar re-check applies them in edge order, so duplicate targets
+// in one span resolve exactly as a scalar loop would. Md2d rows, the
+// landmark forward rows, the pt2pt variants, distance fields, shortest
+// paths, the hierarchy's builds and bounded runs, and DoorBall all call
+// RunDoorDijkstra with two policies instead of inlining a copy:
 //
 //   OnSettle  bool(DoorId di, double d) — invoked at the settle point of
 //             every door (after it is marked visited, before its edges
@@ -18,25 +20,29 @@
 //             (un-stopped) run would produce — the settle-prefix property
 //             that the hierarchy's bitwise-equality contract builds on.
 //
-//   PushOk    bool(double cand) — consulted before enqueueing an improving
-//             candidate. Returning false records the tentative distance
-//             but skips the push, so the door cannot settle through that
-//             candidate. With a MONOTONE NON-INCREASING bound (a fixed
-//             radius, or fl(base + cand) > best where best only shrinks),
-//             pruning is loss-free for every door the caller observes via
-//             OnSettle: a suppressed candidate is over the bound at push
-//             time and therefore still over it at its would-be pop, where
-//             the matching OnSettle stop condition would have ended the
-//             run without processing it. CAUTION: with a non-trivial
-//             PushOk, dist[] entries of unsettled doors are tentative
-//             lower bounds only — consume distances through OnSettle (or
-//             check visited[]), never from dist[] directly.
+//   PushOk    bool(DoorId to, double cand) — consulted after an improving
+//             candidate for door `to` is recorded in dist[] (and prev[]),
+//             before it is pushed. Returning false skips the push, so the
+//             door cannot settle through that candidate. With a MONOTONE
+//             NON-INCREASING bound (a fixed radius, or fl(base + cand) >
+//             best where best only shrinks), pruning is loss-free for
+//             every door the caller observes via OnSettle: a suppressed
+//             candidate is over the bound at push time and therefore
+//             still over it at its would-be pop, where the matching
+//             OnSettle stop condition would have ended the run without
+//             processing it. Recording a pruned candidate in dist[]
+//             changes no later push either: a later candidate for the
+//             same door that it filters out is no smaller, so the same
+//             monotone bound would prune that one too. CAUTION: with a
+//             non-trivial PushOk, dist[] may hold a pruned candidate, so
+//             consume distances through OnSettle, never from dist[];
+//             visited[] still tells which doors settled.
 //
-// The default policies (SettleAll / AlwaysPush) reduce both loops to the
-// historical RunD2dHeap/RunD2dBucket byte for byte: same pop order, same
-// relaxation sequence, same metrics. d2d_distance.cc's public entry points
-// are thin wrappers over these templates, so the randomized heap-vs-bucket
-// equivalence suites keep guarding this file's loops.
+// Seeds are (leg, door) pairs given as two parallel spans: a door is
+// seeded at its leg only if the leg beats its current dist[] (an infinite
+// leg never seeds, and a repeated door keeps its smallest leg). A single
+// source is one seed at 0.0. Seeds bypass PushOk and write no prev[]
+// entry.
 
 #ifndef INDOOR_CORE_DISTANCE_D2D_RUNNER_H_
 #define INDOOR_CORE_DISTANCE_D2D_RUNNER_H_
@@ -59,87 +65,47 @@ struct SettleAll {
 
 /// Default PushOk: accepts every improving relaxation (exact Algorithm 1).
 struct AlwaysPush {
-  bool operator()(double) const { return true; }
+  bool operator()(DoorId, double) const { return true; }
 };
 
-/// Heap-frontier door Dijkstra from `ds`. dist/visited are assigned to the
-/// door count; `prev_out` may be null. See the header comment for the
-/// policy contracts.
+/// Door Dijkstra from the seeds (seed_legs[i], seed_doors[i]) into
+/// scratch->dist / scratch->visited, both assigned to the door count;
+/// `prev_out` may be null. See the file comment for the policy contracts.
 template <typename OnSettle = SettleAll, typename PushOk = AlwaysPush>
-void RunDoorDijkstraHeap(const DistanceGraph& graph, DoorId ds,
-                         std::vector<double>* dist_out,
-                         std::vector<char>* visited_buf,
-                         MinHeap<std::pair<double, DoorId>>* heap,
-                         std::vector<PrevEntry>* prev_out,
-                         OnSettle&& on_settle = {}, PushOk&& push_ok = {}) {
+void RunDoorDijkstra(const DistanceGraph& graph,
+                     std::span<const DoorId> seed_doors,
+                     std::span<const double> seed_legs,
+                     DoorDijkstraScratch* scratch,
+                     std::vector<PrevEntry>* prev_out,
+                     OnSettle&& on_settle = {}, PushOk&& push_ok = {}) {
   const size_t n = graph.plan().door_count();
-  INDOOR_CHECK(ds < n);
+  INDOOR_CHECK(seed_doors.size() == seed_legs.size());
 
-  std::vector<double>& dist = *dist_out;
+  std::vector<double>& dist = scratch->dist;
   dist.assign(n, kInfDistance);
   if (prev_out != nullptr) prev_out->assign(n, PrevEntry{});
-  std::vector<char>& visited = *visited_buf;
+  std::vector<char>& visited = scratch->visited;
   visited.assign(n, 0);
+  scratch->relax_cand.resize(graph.max_door_out_degree());
+  scratch->relax_idx.resize(graph.max_door_out_degree());
+  double* const cand = scratch->relax_cand.data();
+  uint32_t* const idx = scratch->relax_idx.data();
 
-  heap->clear();
-  dist[ds] = 0.0;
-  heap->push({0.0, ds});
-
-  INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats;)
-  while (!heap->empty()) {
-    const auto [d, di] = heap->top();
-    heap->pop();
-    if (visited[di]) continue;
-    visited[di] = 1;
-    INDOOR_METRICS_ONLY(++stats.settles;)
-    if (!on_settle(di, d)) return;
-    for (const DoorGraphEdge& e : graph.DoorEdges(di)) {
-      if (visited[e.to]) continue;
-      if (dist[di] + e.weight < dist[e.to]) {
-        dist[e.to] = dist[di] + e.weight;
-        if (prev_out != nullptr) (*prev_out)[e.to] = {e.via, di};
-        if (!push_ok(dist[e.to])) continue;
-        heap->push({dist[e.to], e.to});
-        INDOOR_METRICS_ONLY(++stats.relaxations;)
-      }
+  BucketQueue& queue = scratch->bucket;
+  queue.Prepare(graph.max_door_edge_weight());
+  for (size_t i = 0; i < seed_doors.size(); ++i) {
+    const DoorId door = seed_doors[i];
+    INDOOR_CHECK(door < n);
+    if (seed_legs[i] < dist[door]) {
+      dist[door] = seed_legs[i];
+      queue.push({seed_legs[i], door});
     }
   }
-}
 
-/// Bucket-frontier door Dijkstra with SIMD batch relaxation, bitwise
-/// identical to RunDoorDijkstraHeap under identical policies (see
-/// d2d_distance.h: lexicographic extraction + pre-span filter + scalar
-/// re-check reproduce the heap's relaxation sequence exactly).
-template <typename OnSettle = SettleAll, typename PushOk = AlwaysPush>
-void RunDoorDijkstraBucket(const DistanceGraph& graph, DoorId ds,
-                           std::vector<double>* dist_out,
-                           std::vector<char>* visited_buf, BucketQueue* queue,
-                           std::vector<double>* cand_buf,
-                           std::vector<uint32_t>* idx_buf,
-                           std::vector<PrevEntry>* prev_out,
-                           OnSettle&& on_settle = {}, PushOk&& push_ok = {}) {
-  const size_t n = graph.plan().door_count();
-  INDOOR_CHECK(ds < n);
-
-  std::vector<double>& dist = *dist_out;
-  dist.assign(n, kInfDistance);
-  if (prev_out != nullptr) prev_out->assign(n, PrevEntry{});
-  std::vector<char>& visited = *visited_buf;
-  visited.assign(n, 0);
-  cand_buf->resize(graph.max_door_out_degree());
-  idx_buf->resize(graph.max_door_out_degree());
-  double* const cand = cand_buf->data();
-  uint32_t* const idx = idx_buf->data();
-
-  queue->Prepare(graph.max_door_edge_weight());
-  dist[ds] = 0.0;
-  queue->push({0.0, ds});
-
-  INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats;
-                      stats.queue = QueueKind::kBucket;)
-  while (!queue->empty()) {
-    const auto [d, di] = queue->top();
-    queue->pop();
+  INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats;)
+  while (!queue.empty()) {
+    const auto [d, di] = queue.top();
+    queue.pop();
     if (visited[di]) continue;
     visited[di] = 1;
     INDOOR_METRICS_ONLY(++stats.settles;)
@@ -156,33 +122,25 @@ void RunDoorDijkstraBucket(const DistanceGraph& graph, DoorId ds,
       if (cand[i] < dist[to]) {  // re-check: duplicate targets in one span
         dist[to] = cand[i];
         if (prev_out != nullptr) (*prev_out)[to] = {edges[i].via, di};
-        if (!push_ok(cand[i])) continue;
-        queue->push({cand[i], to});
+        if (!push_ok(to, cand[i])) continue;
+        queue.push({cand[i], to});
         INDOOR_METRICS_ONLY(++stats.relaxations;)
       }
     }
   }
 }
 
-/// Frontier-dispatching convenience over a DoorDijkstraScratch; the
-/// hierarchy query paths call this with their stop/prune policies.
+/// Single-source run: door `source` is the one seed, at 0.0.
 template <typename OnSettle = SettleAll, typename PushOk = AlwaysPush>
-void RunDoorDijkstra(const DistanceGraph& graph, DoorId ds,
-                     DoorDijkstraScratch* scratch, QueueKind kind,
+void RunDoorDijkstra(const DistanceGraph& graph, DoorId source,
+                     DoorDijkstraScratch* scratch,
                      std::vector<PrevEntry>* prev_out,
                      OnSettle&& on_settle = {}, PushOk&& push_ok = {}) {
-  if (kind == QueueKind::kBucket) {
-    RunDoorDijkstraBucket(graph, ds, &scratch->dist, &scratch->visited,
-                          &scratch->bucket, &scratch->relax_cand,
-                          &scratch->relax_idx, prev_out,
-                          std::forward<OnSettle>(on_settle),
-                          std::forward<PushOk>(push_ok));
-    return;
-  }
-  RunDoorDijkstraHeap(graph, ds, &scratch->dist, &scratch->visited,
-                      &scratch->heap, prev_out,
-                      std::forward<OnSettle>(on_settle),
-                      std::forward<PushOk>(push_ok));
+  const double zero = 0.0;
+  RunDoorDijkstra(graph, std::span<const DoorId>(&source, 1),
+                  std::span<const double>(&zero, 1), scratch, prev_out,
+                  std::forward<OnSettle>(on_settle),
+                  std::forward<PushOk>(push_ok));
 }
 
 }  // namespace indoor

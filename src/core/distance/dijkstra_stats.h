@@ -1,25 +1,25 @@
-// Per-run observability accumulator for the door-graph Dijkstra loops.
+// Per-run observability accumulator for the door-graph Dijkstra loop.
 //
-// Every door-level expansion in the library (Algorithm 1 runs, the
-// per-source-door expansions of Algorithms 3/4, the virtual-source
-// variant, distance fields) counts its settles and edge relaxations in
-// plain local fields and flushes them into the global counters
+// Every forward door-level expansion in the library runs RunDoorDijkstra
+// (d2d_runner.h), which counts its settles and edge relaxations in plain
+// local fields and flushes them into the global counters
 //
 //   distance.dijkstra.runs / .settles / .relaxations
 //
 // exactly once, in the destructor — one pair of relaxed atomic adds per
-// run instead of one per heap pop, which keeps the instrumented hot loop
-// within the documented <2% overhead budget (docs/METRICS.md).
+// run instead of one per pop, which keeps the instrumented hot loop
+// within the documented <2% overhead budget (docs/METRICS.md). The
+// transposed-edge builders (ReverseDistanceField, the landmark backward
+// rows) and the snapshot Dijkstra of temporal.cc emit no run stats.
 //
 // Instantiate only inside INDOOR_METRICS_ONLY(...) so the OFF build's
-// loops carry no accumulator at all.
+// loop carries no accumulator at all.
 
 #ifndef INDOOR_CORE_DISTANCE_DIJKSTRA_STATS_H_
 #define INDOOR_CORE_DISTANCE_DIJKSTRA_STATS_H_
 
 #include <cstdint>
 
-#include "core/distance/bucket_queue.h"
 #include "util/metrics.h"
 #include "util/query_log.h"
 
@@ -27,35 +27,17 @@ namespace indoor {
 namespace internal {
 
 /// Counts one Dijkstra run; flushes into the registry on destruction.
-/// Settles and relaxations are incremented at the same program points on
-/// the heap and bucket frontiers (one settle per first pop of a door, one
-/// relaxation per tentative-distance improvement), so the two paths
-/// report identical counts for identical runs.
 struct DijkstraRunStats {
   /// Doors settled (popped and finalized) this run.
   uint64_t settles = 0;
-  /// Successful edge relaxations (tentative-distance improvements).
+  /// Frontier pushes (tentative-distance improvements the run's PushOk
+  /// policy admitted).
   uint64_t relaxations = 0;
-  /// Pushes skipped because an ALT landmark lower bound proved they could
-  /// not improve the result (pt2pt_distance.cc).
-  uint64_t landmark_prunes = 0;
-  /// Which frontier this run used; flushed as the per-kind run counters
-  /// distance.dijkstra.queue.{heap,bucket}.
-  QueueKind queue = QueueKind::kHeap;
 
   ~DijkstraRunStats() {
     INDOOR_COUNTER_INC("distance.dijkstra.runs");
-    if (queue == QueueKind::kBucket) {
-      INDOOR_COUNTER_INC("distance.dijkstra.queue.bucket");
-    } else {
-      INDOOR_COUNTER_INC("distance.dijkstra.queue.heap");
-    }
     INDOOR_COUNTER_ADD("distance.dijkstra.settles", settles);
     INDOOR_COUNTER_ADD("distance.dijkstra.relaxations", relaxations);
-    if (landmark_prunes != 0) {
-      INDOOR_COUNTER_ADD("distance.dijkstra.prunes.landmark",
-                         landmark_prunes);
-    }
     // Attribute this run's settles to the in-flight query's log record.
     qlog::AddSettles(settles);
   }

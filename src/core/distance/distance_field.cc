@@ -1,7 +1,6 @@
 #include "core/distance/distance_field.h"
 
-#include "core/distance/d2d_distance.h"
-#include "core/distance/dijkstra_stats.h"
+#include "core/distance/d2d_runner.h"
 #include "core/distance/query_scratch.h"
 #include "util/metrics.h"
 
@@ -16,50 +15,14 @@ DistanceField::DistanceField(const DistanceContext& ctx, const Point& source)
   host_ = host.value();
 
   QueryScratch& scratch = TlsQueryScratch();
-  std::vector<char> visited(plan.door_count(), 0);
   const auto& src_doors = plan.LeaveDoors(host_);
   auto& src_leg = scratch.src_leg;
   src_leg.resize(src_doors.size());
   ctx.locator->DistVMany(host_, source, src_doors, &scratch.geo,
                          src_leg.data());
   INDOOR_COUNTER_INC("distance.field.builds");
-  // The field is built with whichever frontier the context selects; both
-  // pop the identical (distance, id) sequence (bucket_queue.h), so the
-  // resulting door_dist_ array is bit-identical either way.
-  const auto build = [&](auto& frontier, QueueKind kind) {
-    for (size_t i = 0; i < src_doors.size(); ++i) {
-      const double leg = src_leg[i];
-      if (leg != kInfDistance && leg < door_dist_[src_doors[i]]) {
-        door_dist_[src_doors[i]] = leg;
-        frontier.push({leg, src_doors[i]});
-      }
-    }
-    INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats; stats.queue = kind;)
-    (void)kind;
-    while (!frontier.empty()) {
-      const auto [d, di] = frontier.top();
-      frontier.pop();
-      if (visited[di]) continue;
-      visited[di] = 1;
-      INDOOR_METRICS_ONLY(++stats.settles;)
-      for (const DoorGraphEdge& e : ctx.graph->DoorEdges(di)) {
-        if (visited[e.to]) continue;
-        if (d + e.weight < door_dist_[e.to]) {
-          door_dist_[e.to] = d + e.weight;
-          frontier.push({door_dist_[e.to], e.to});
-          INDOOR_METRICS_ONLY(++stats.relaxations;)
-        }
-      }
-    }
-  };
-  if (ctx.queue == QueueKind::kBucket) {
-    BucketQueue frontier;
-    ResetFrontier(&frontier, *ctx.graph);
-    build(frontier, QueueKind::kBucket);
-  } else {
-    MinHeap<std::pair<double, DoorId>> frontier;
-    build(frontier, QueueKind::kHeap);
-  }
+  RunDoorDijkstra(*ctx.graph, src_doors, src_leg, &scratch.door, nullptr);
+  door_dist_ = scratch.door.dist;
 }
 
 double DistanceField::DistanceTo(PartitionId v, const Point& p) const {

@@ -20,8 +20,7 @@ constexpr double kPending = -1.0;
 double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
                               const HierarchyIndex& hier, PartitionId vs,
                               const Point& ps, PartitionId vt, const Point& pt,
-                              QueryScratch* scratch, const QueryCache* cache,
-                              QueueKind kind) {
+                              QueryScratch* scratch, const QueryCache* cache) {
   INDOOR_LATENCY_SPAN("pt2pt_hier", "query.pt2pt_hier.latency_ns");
   qlog::QueryLogScope qscope(qlog::RecordKind::kDistance, ps.x, ps.y, pt.x,
                              pt.y, 0.0, 0, scratch != nullptr);
@@ -126,7 +125,7 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
       if (remaining == 0 || leg1 >= best || leg1 > cap) continue;
       INDOOR_METRICS_ONLY(++runs;)
       RunDoorDijkstra(
-          graph, src_doors[i], &scratch->door, kind, nullptr,
+          graph, src_doors[i], &scratch->door, nullptr,
           [&](DoorId di, double d) {
             const double through = leg1 + d;
             if (through > cap || through >= best) return false;
@@ -141,7 +140,7 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
             }
             return remaining != 0;
           },
-          [&](double cand) {
+          [&](DoorId, double cand) {
             const double through = leg1 + cand;
             return through <= cap && through < best;
           });
@@ -156,17 +155,17 @@ double Pt2PtDistanceHierarchy(const PartitionLocator& locator,
                               const DistanceGraph& graph,
                               const HierarchyIndex& hier, const Point& ps,
                               const Point& pt, QueryScratch* scratch,
-                              const QueryCache* cache, QueueKind kind) {
+                              const QueryCache* cache) {
   const auto vs = CachedHostPartition(cache, locator, ps);
   const auto vt = CachedHostPartition(cache, locator, pt);
   if (!vs.ok() || !vt.ok()) return kInfDistance;
   return Pt2PtDistanceHierarchy(locator.plan(), graph, hier, vs.value(), ps,
-                                vt.value(), pt, scratch, cache, kind);
+                                vt.value(), pt, scratch, cache);
 }
 
 double HierarchyDoorDistance(const DistanceGraph& graph,
                              const HierarchyIndex& hier, DoorId s, DoorId t,
-                             QueryScratch* scratch, QueueKind kind) {
+                             QueryScratch* scratch) {
   INDOOR_CHECK(s < hier.door_count() && t < hier.door_count());
   double out;
   if (hier.TryExact(s, t, &out)) return out;
@@ -180,14 +179,14 @@ double HierarchyDoorDistance(const DistanceGraph& graph,
   INDOOR_COUNTER_INC("index.hier.d2d.runs");
   double result = kInfDistance;
   RunDoorDijkstra(
-      graph, s, &scratch->door, kind, nullptr,
+      graph, s, &scratch->door, nullptr,
       [&](DoorId di, double d) {
         if (d > cap) return false;
         if (di != t) return true;
         result = d;
         return false;
       },
-      [&](double cand) { return cand <= cap; });
+      [&](DoorId, double cand) { return cand <= cap; });
   return result;
 }
 

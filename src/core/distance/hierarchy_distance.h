@@ -23,30 +23,26 @@ class QueryCache;
 /// and `graph` must both come from `locator.plan()`. A null `scratch`
 /// falls back to the calling thread's TlsQueryScratch(); a non-null
 /// `cache` serves host probes and entry/exit legs exactly as the flat
-/// path does. `kind` picks the Dijkstra frontier for the bounded
-/// cross-cell runs (values are identical either way).
+/// path does.
 double Pt2PtDistanceHierarchy(const PartitionLocator& locator,
                               const DistanceGraph& graph,
                               const HierarchyIndex& hier, const Point& ps,
                               const Point& pt, QueryScratch* scratch = nullptr,
-                              const QueryCache* cache = nullptr,
-                              QueueKind kind = QueueKind::kBucket);
+                              const QueryCache* cache = nullptr);
 
 /// Variant with both host partitions already known (e.g. stored objects).
 double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
                               const HierarchyIndex& hier, PartitionId vs,
                               const Point& ps, PartitionId vt, const Point& pt,
                               QueryScratch* scratch = nullptr,
-                              const QueryCache* cache = nullptr,
-                              QueueKind kind = QueueKind::kBucket);
+                              const QueryCache* cache = nullptr);
 
 /// Exact door-to-door distance d(s -> t), bit-identical to the flat
 /// Md2d[s][t]: a block lookup when s and t share a cell, else a bounded
 /// Dijkstra capped at kUpperBoundSlack times the composed border route.
 double HierarchyDoorDistance(const DistanceGraph& graph,
                              const HierarchyIndex& hier, DoorId s, DoorId t,
-                             QueryScratch* scratch = nullptr,
-                             QueueKind kind = QueueKind::kBucket);
+                             QueryScratch* scratch = nullptr);
 
 }  // namespace indoor
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "core/distance/d2d_distance.h"
-#include "core/distance/dijkstra_stats.h"
+#include "core/distance/d2d_runner.h"
 #include "core/distance/query_scratch.h"
 #include "core/index/landmark_index.h"
 #include "core/query/query_cache.h"
@@ -70,85 +69,6 @@ using internal::DirectCandidate;
 using internal::Endpoints;
 using internal::ResolveEndpoints;
 
-namespace {
-
-/// The virtual-source expansion shared by both frontier kinds. With
-/// landmarks attached, a frontier push is dropped when even the optimistic
-/// completion `cand + lb_set(door) + min_exit` cannot beat the running
-/// best. The set bound aggregates the destination rows once per query:
-///   min_tf[l] = min over finite-exit-leg targets t of fwd[t][l]
-///   max_tb[l] = max over those targets of bwd[t][l]  (infinities kept:
-///               a target unable to reach landmark l invalidates the term)
-/// so lb_set(v) <= min over targets t of d(v, t). Pruning never changes
-/// the returned distance: the doors on one optimal path always bound
-/// strictly below `best` until best reaches the optimum, and any pruned
-/// completion was already >= the final answer. dist[] is left untouched on
-/// a prune, so a later cheaper relaxation of the same door re-evaluates.
-template <typename Frontier>
-double VirtualExpand(const DistanceContext& ctx, Frontier& frontier,
-                     std::vector<double>& dist, std::vector<char>& visited,
-                     std::span<const DoorId> dest_doors,
-                     const std::vector<double>& exit_leg, double min_exit,
-                     double best, QueueKind kind) {
-  const LandmarkIndex* const lm = ctx.landmarks;
-  size_t lcount = 0;
-  double min_tf[LandmarkIndex::kMaxCount];
-  double max_tb[LandmarkIndex::kMaxCount];
-  if (lm != nullptr && lm->valid()) {
-    lcount = lm->count();
-    for (size_t l = 0; l < lcount; ++l) {
-      min_tf[l] = kInfDistance;
-      max_tb[l] = -kInfDistance;
-    }
-    for (size_t j = 0; j < dest_doors.size(); ++j) {
-      if (exit_leg[j] == kInfDistance) continue;
-      const double* const tf = lm->ForwardRow(dest_doors[j]);
-      const double* const tb = lm->BackwardRow(dest_doors[j]);
-      for (size_t l = 0; l < lcount; ++l) {
-        min_tf[l] = std::min(min_tf[l], tf[l]);
-        max_tb[l] = std::max(max_tb[l], tb[l]);
-      }
-    }
-  }
-
-  INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats; stats.queue = kind;)
-  (void)kind;
-  while (!frontier.empty()) {
-    const auto [d, di] = frontier.top();
-    frontier.pop();
-    if (visited[di]) continue;
-    visited[di] = 1;
-    INDOOR_METRICS_ONLY(++stats.settles;)
-    if (d + min_exit >= best) break;  // no remaining door can improve
-    const auto it = std::lower_bound(dest_doors.begin(), dest_doors.end(), di);
-    if (it != dest_doors.end() && *it == di) {
-      const double leg = exit_leg[it - dest_doors.begin()];
-      if (leg != kInfDistance) best = std::min(best, d + leg);
-    }
-    for (const DoorGraphEdge& e : ctx.graph->DoorEdges(di)) {
-      if (visited[e.to]) continue;
-      const double cand = d + e.weight;
-      if (cand < dist[e.to]) {
-        if (lcount != 0) {
-          const double lb = simd::AltSetBound(lm->ForwardRow(e.to),
-                                              lm->BackwardRow(e.to), min_tf,
-                                              max_tb, lcount);
-          if (cand + lb + min_exit >= best) {
-            INDOOR_METRICS_ONLY(++stats.landmark_prunes;)
-            continue;
-          }
-        }
-        dist[e.to] = cand;
-        frontier.push({cand, e.to});
-        INDOOR_METRICS_ONLY(++stats.relaxations;)
-      }
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 double Pt2PtDistanceBasic(const DistanceContext& ctx, const Point& ps,
                           const Point& pt, QueryScratch* scratch) {
   INDOOR_LATENCY_SPAN("pt2pt_basic", "query.pt2pt_basic.latency_ns");
@@ -202,7 +122,7 @@ double Pt2PtDistanceBasic(const DistanceContext& ctx, const Point& ps,
           continue;
         }
         const double d2d = D2dDistance(*ctx.graph, src_doors[i], dst_doors[j],
-                                       &scratch->door, ctx.queue);
+                                       &scratch->door);
         if (d2d == kInfDistance) continue;
         dist = std::min(dist, src_leg[i] + d2d + dst_leg[j]);
       }
@@ -225,13 +145,6 @@ double Pt2PtDistanceVirtual(const DistanceContext& ctx, const Point& ps,
 
   double best = DirectCandidate(ctx, endpoints, ps, pt, &scratch->geo);
 
-  // One Dijkstra seeded with every source door at its distV offset.
-  const size_t n = plan.door_count();
-  auto& dist = scratch->door.dist;
-  auto& visited = scratch->door.visited;
-  dist.assign(n, kInfDistance);
-  visited.assign(n, 0);
-
   const auto& src_doors = plan.LeaveDoors(endpoints.vs);
   auto& src_leg = scratch->src_leg;
   src_leg.resize(src_doors.size());
@@ -247,33 +160,68 @@ double Pt2PtDistanceVirtual(const DistanceContext& ctx, const Point& ps,
   double min_exit = kInfDistance;
   for (const double leg : exit_leg) min_exit = std::min(min_exit, leg);
 
-  const auto seed = [&](auto& frontier) {
-    for (size_t i = 0; i < src_doors.size(); ++i) {
-      const double d0 = src_leg[i];
-      if (d0 == kInfDistance) continue;
-      if (d0 < dist[src_doors[i]]) {
-        dist[src_doors[i]] = d0;
-        frontier.push({d0, src_doors[i]});
+  INDOOR_TRACE_SPAN("virtual_dijkstra");
+  // With landmarks attached, a push is dropped when even the optimistic
+  // completion `cand + lb_set(door) + min_exit` cannot beat the running
+  // best. The set bound aggregates the destination rows once per query:
+  //   min_tf[l] = min over finite-exit-leg targets t of fwd[t][l]
+  //   max_tb[l] = max over those targets of bwd[t][l]  (infinities kept:
+  //               a target unable to reach landmark l invalidates the term)
+  // so lb_set(v) <= min over targets t of d(v, t). Pruning never changes
+  // the returned distance: the doors on one optimal path always bound
+  // strictly below `best` until best reaches the optimum, and any pruned
+  // completion was already >= the final answer. The runner records a
+  // pruned candidate in dist[]; that changes no push, because the prune
+  // test is monotone in the candidate and `best` only falls, so any later
+  // candidate no better than a pruned one is pruned too (d2d_runner.h).
+  const LandmarkIndex* const lm = ctx.landmarks;
+  size_t lcount = 0;
+  double min_tf[LandmarkIndex::kMaxCount];
+  double max_tb[LandmarkIndex::kMaxCount];
+  if (lm != nullptr && lm->valid()) {
+    lcount = lm->count();
+    for (size_t l = 0; l < lcount; ++l) {
+      min_tf[l] = kInfDistance;
+      max_tb[l] = -kInfDistance;
+    }
+    for (size_t j = 0; j < dest_doors.size(); ++j) {
+      if (exit_leg[j] == kInfDistance) continue;
+      const double* const tf = lm->ForwardRow(dest_doors[j]);
+      const double* const tb = lm->BackwardRow(dest_doors[j]);
+      for (size_t l = 0; l < lcount; ++l) {
+        min_tf[l] = std::min(min_tf[l], tf[l]);
+        max_tb[l] = std::max(max_tb[l], tb[l]);
       }
     }
-  };
-
-  {
-    INDOOR_TRACE_SPAN("virtual_dijkstra");
-    if (ctx.queue == QueueKind::kBucket) {
-      BucketQueue& frontier = scratch->door.bucket;
-      ResetFrontier(&frontier, *ctx.graph);
-      seed(frontier);
-      best = VirtualExpand(ctx, frontier, dist, visited, dest_doors, exit_leg,
-                           min_exit, best, QueueKind::kBucket);
-    } else {
-      auto& frontier = scratch->door.heap;
-      ResetFrontier(&frontier, *ctx.graph);
-      seed(frontier);
-      best = VirtualExpand(ctx, frontier, dist, visited, dest_doors, exit_leg,
-                           min_exit, best, QueueKind::kHeap);
-    }
   }
+
+  // One Dijkstra seeded with every source door at its distV offset.
+  INDOOR_METRICS_ONLY(uint64_t lm_prunes = 0;)
+  RunDoorDijkstra(
+      *ctx.graph, src_doors, src_leg, &scratch->door, nullptr,
+      [&](DoorId di, double d) {
+        if (d + min_exit >= best) return false;  // no door can improve
+        const auto it =
+            std::lower_bound(dest_doors.begin(), dest_doors.end(), di);
+        if (it != dest_doors.end() && *it == di) {
+          const double leg = exit_leg[it - dest_doors.begin()];
+          if (leg != kInfDistance) best = std::min(best, d + leg);
+        }
+        return true;
+      },
+      [&](DoorId to, double cand) {
+        if (lcount == 0) return true;
+        const double lb = simd::AltSetBound(
+            lm->ForwardRow(to), lm->BackwardRow(to), min_tf, max_tb, lcount);
+        if (cand + lb + min_exit >= best) {
+          INDOOR_METRICS_ONLY(++lm_prunes;)
+          return false;
+        }
+        return true;
+      });
+  INDOOR_METRICS_ONLY(if (lm_prunes != 0) {
+    INDOOR_COUNTER_ADD("distance.dijkstra.prunes.landmark", lm_prunes);
+  })
   return best;
 }
 

@@ -22,7 +22,6 @@
 #ifndef INDOOR_CORE_DISTANCE_PT2PT_DISTANCE_H_
 #define INDOOR_CORE_DISTANCE_PT2PT_DISTANCE_H_
 
-#include "core/distance/bucket_queue.h"
 #include "core/model/distance_graph.h"
 #include "core/model/locator.h"
 
@@ -54,12 +53,6 @@ struct DistanceContext {
   /// shared-Dijkstra bounds interact with the dists[.][.] reuse cache; see
   /// pt2pt_distance3.cc).
   const LandmarkIndex* landmarks = nullptr;
-
-  /// Frontier structure of the door-graph Dijkstra solves. The bucket
-  /// queue (bucket_queue.h) extracts the same (distance, id) sequence as
-  /// the binary heap — results are bitwise identical — but trades the
-  /// O(log n) sift for O(1) bucket pushes on bounded edge weights.
-  QueueKind queue = QueueKind::kBucket;
 
   /// Known host partitions of the query endpoints. When a caller already
   /// knows where a position lives (e.g. a stored object's partition),

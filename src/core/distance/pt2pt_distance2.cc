@@ -3,8 +3,7 @@
 
 #include <algorithm>
 
-#include "core/distance/d2d_distance.h"
-#include "core/distance/dijkstra_stats.h"
+#include "core/distance/d2d_runner.h"
 #include "core/distance/pt2pt_distance.h"
 #include "core/distance/query_scratch.h"
 #include "core/query/query_cache.h"
@@ -52,10 +51,6 @@ double Pt2PtDistanceRefined(const DistanceContext& ctx, const Point& ps,
   }
 
   INDOOR_TRACE_SPAN("source_door_expansions");
-  const size_t n = plan.door_count();
-  auto& dist = scratch->door.dist;
-  auto& visited = scratch->door.visited;
-
   for (size_t s = 0; s < doors_s.size(); ++s) {
     const DoorId ds = doors_s[s];
     if (src_leg[s] == kInfDistance) continue;
@@ -71,53 +66,17 @@ double Pt2PtDistanceRefined(const DistanceContext& ctx, const Point& ps,
     if (doors.empty()) continue;
 
     // Lines 15-36: one Dijkstra from ds, terminating once every door in
-    // `doors` has been settled. Either frontier extracts the identical
-    // (distance, id) minimum each round (bucket_queue.h), so the settle
-    // order — and with it every dist_m update — is frontier-independent.
-    const auto expand = [&](auto& frontier, QueueKind kind) {
-      dist.assign(n, kInfDistance);
-      visited.assign(n, 0);
-      ResetFrontier(&frontier, *ctx.graph);
-      dist[ds] = 0.0;
-      frontier.push({0.0, ds});
-
-      INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats;
-                          stats.queue = kind;)
-      (void)kind;
-      while (!frontier.empty()) {
-        const auto [d, di] = frontier.top();
-        frontier.pop();
-        if (visited[di]) continue;
-        visited[di] = 1;
-        INDOOR_METRICS_ONLY(++stats.settles;)
-
-        const auto it = std::find(doors.begin(), doors.end(), di);
-        if (it != doors.end()) {
-          doors.erase(it);
-          const auto t =
-              std::lower_bound(doors_t.begin(), doors_t.end(), di);
-          const double leg = dst_leg[t - doors_t.begin()];
-          if (src_leg[s] + d + leg < dist_m) {
-            dist_m = src_leg[s] + d + leg;
-          }
-          if (doors.empty()) break;
-        }
-
-        for (const DoorGraphEdge& e : ctx.graph->DoorEdges(di)) {
-          if (visited[e.to]) continue;
-          if (d + e.weight < dist[e.to]) {
-            dist[e.to] = d + e.weight;
-            frontier.push({dist[e.to], e.to});
-            INDOOR_METRICS_ONLY(++stats.relaxations;)
-          }
-        }
-      }
+    // `doors` has been settled.
+    const auto on_settle = [&](DoorId di, double d) {
+      const auto it = std::find(doors.begin(), doors.end(), di);
+      if (it == doors.end()) return true;
+      doors.erase(it);
+      const auto t = std::lower_bound(doors_t.begin(), doors_t.end(), di);
+      const double leg = dst_leg[t - doors_t.begin()];
+      if (src_leg[s] + d + leg < dist_m) dist_m = src_leg[s] + d + leg;
+      return !doors.empty();
     };
-    if (ctx.queue == QueueKind::kBucket) {
-      expand(scratch->door.bucket, QueueKind::kBucket);
-    } else {
-      expand(scratch->door.heap, QueueKind::kHeap);
-    }
+    RunDoorDijkstra(*ctx.graph, ds, &scratch->door, nullptr, on_settle);
   }
   return dist_m;
 }

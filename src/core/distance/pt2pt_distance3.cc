@@ -16,8 +16,7 @@
 
 #include <algorithm>
 
-#include "core/distance/d2d_distance.h"
-#include "core/distance/dijkstra_stats.h"
+#include "core/distance/d2d_runner.h"
 #include "core/distance/pt2pt_distance.h"
 #include "core/distance/query_scratch.h"
 #include "core/query/query_cache.h"
@@ -82,9 +81,9 @@ double Pt2PtDistanceReuse(const DistanceContext& ctx, const Point& ps,
   double dist_m = DirectCandidate(ctx, endpoints, ps, pt, &scratch->geo);
 
   INDOOR_TRACE_SPAN("source_door_expansions");
-  const size_t n = plan.door_count();
-  auto& dist = scratch->door.dist;
-  auto& visited = scratch->door.visited;
+  // The runner's arrays; dist[] is read only at settled doors, where it is
+  // exact.
+  const std::vector<double>& dist = scratch->door.dist;
   auto& prev = scratch->prev;
 
   for (size_t row = 0; row < rows; ++row) {
@@ -103,95 +102,52 @@ double Pt2PtDistanceReuse(const DistanceContext& ctx, const Point& ps,
     }
     if (doors.empty()) continue;
 
-    // Both frontier kinds pop the identical (distance, id) sequence
-    // (bucket_queue.h), so the settle order — and with it every reuse
-    // decision, both policies included — is frontier-independent.
-    const auto expand = [&](auto& frontier, QueueKind kind) {
-      dist.assign(n, kInfDistance);
-      visited.assign(n, 0);
-      prev.assign(n, PrevEntry{});
-      ResetFrontier(&frontier, *ctx.graph);
-      dist[ds] = 0.0;
-      frontier.push({0.0, ds});
-
-      INDOOR_METRICS_ONLY(internal::DijkstraRunStats stats;
-                          stats.queue = kind;)
-      (void)kind;
-      while (!frontier.empty()) {
-        const auto [d, di] = frontier.top();
-        frontier.pop();
-        if (visited[di]) continue;
-        visited[di] = 1;
-        INDOOR_METRICS_ONLY(++stats.settles;)
-
-        const auto door_it = std::find(doors.begin(), doors.end(), di);
-        if (door_it != doors.end()) {
-          // Lines 27-38: a destination door settles.
-          doors.erase(door_it);
-          const int col = col_of(di);
-          dists[row * cols + col] = d;  // settled value is exact (our addition)
-          if (src_leg[row] + d + dst_leg[col] < dist_m) {
-            dist_m = src_leg[row] + d + dst_leg[col];
-          }
-          // Backward reuse along the shortest-path tree branch.
-          DoorId dj = prev[di].door;
-          while (dj != kInvalidId && dj != ds) {
-            const int back_row = row_of(dj);
-            if (back_row >= 0 && dj > ds) {
-              const double exact = d - dist[dj];
-              dists[static_cast<size_t>(back_row) * cols + col] = exact;
-              if (src_leg[back_row] != kInfDistance &&
-                  src_leg[back_row] + exact + dst_leg[col] < dist_m) {
-                dist_m = src_leg[back_row] + exact + dst_leg[col];
-              }
-            }
-            dj = prev[dj].door;
-          }
-          if (doors.empty()) break;
-        } else {
-          const int fwd_row = row_of(di);
-          if (fwd_row >= 0 && di < ds) {
-            // Lines 40-45: forward reuse through an earlier source door.
-            bool all_known = true;
-            for (DoorId dj : doors) {
-              const int col = col_of(dj);
-              const double via =
-                  d + dists[static_cast<size_t>(fwd_row) * cols +
-                            static_cast<size_t>(col)];
-              if (via == kInfDistance) {
-                all_known = false;
-                continue;
-              }
-              if (policy == ReusePolicy::kPaperFaithful) {
-                dists[row * cols + col] = via;
-              }
-              if (src_leg[row] + via + dst_leg[col] < dist_m) {
-                dist_m = src_leg[row] + via + dst_leg[col];
-              }
-            }
-            if (policy == ReusePolicy::kPaperFaithful) {
-              (void)all_known;
-              break;  // verbatim pseudocode: stop this source's expansion
-            }
-          }
+    const auto on_settle = [&](DoorId di, double d) {
+      const auto door_it = std::find(doors.begin(), doors.end(), di);
+      if (door_it != doors.end()) {
+        // Lines 27-38: a destination door settles.
+        doors.erase(door_it);
+        const int col = col_of(di);
+        dists[row * cols + col] = d;  // settled value is exact (our addition)
+        if (src_leg[row] + d + dst_leg[col] < dist_m) {
+          dist_m = src_leg[row] + d + dst_leg[col];
         }
-
-        for (const DoorGraphEdge& e : ctx.graph->DoorEdges(di)) {
-          if (visited[e.to]) continue;
-          if (d + e.weight < dist[e.to]) {
-            dist[e.to] = d + e.weight;
-            frontier.push({dist[e.to], e.to});
-            INDOOR_METRICS_ONLY(++stats.relaxations;)
-            prev[e.to] = {e.via, di};
+        // Backward reuse along the shortest-path tree branch.
+        DoorId dj = prev[di].door;
+        while (dj != kInvalidId && dj != ds) {
+          const int back_row = row_of(dj);
+          if (back_row >= 0 && dj > ds) {
+            const double exact = d - dist[dj];
+            dists[static_cast<size_t>(back_row) * cols + col] = exact;
+            if (src_leg[back_row] != kInfDistance &&
+                src_leg[back_row] + exact + dst_leg[col] < dist_m) {
+              dist_m = src_leg[back_row] + exact + dst_leg[col];
+            }
           }
+          dj = prev[dj].door;
+        }
+        return !doors.empty();
+      }
+      const int fwd_row = row_of(di);
+      if (fwd_row < 0 || di >= ds) return true;
+      // Lines 40-45: forward reuse through an earlier source door.
+      for (DoorId dj : doors) {
+        const int col = col_of(dj);
+        const double via =
+            d + dists[static_cast<size_t>(fwd_row) * cols +
+                      static_cast<size_t>(col)];
+        if (via == kInfDistance) continue;
+        if (policy == ReusePolicy::kPaperFaithful) {
+          dists[row * cols + col] = via;
+        }
+        if (src_leg[row] + via + dst_leg[col] < dist_m) {
+          dist_m = src_leg[row] + via + dst_leg[col];
         }
       }
+      // Verbatim pseudocode stops this source's expansion here.
+      return policy != ReusePolicy::kPaperFaithful;
     };
-    if (ctx.queue == QueueKind::kBucket) {
-      expand(scratch->door.bucket, QueueKind::kBucket);
-    } else {
-      expand(scratch->door.heap, QueueKind::kHeap);
-    }
+    RunDoorDijkstra(*ctx.graph, ds, &scratch->door, &prev, on_settle);
   }
   return dist_m;
 }

@@ -53,10 +53,8 @@ size_t QueryScratch::CapacityBytes() const {
   return GeoCapacityBytes(geo) + GeoCapacityBytes(bucket.geo) +
          VecCapacityBytes(bucket.cell_order) +
          VecCapacityBytes(bucket.filter_mask) + VecCapacityBytes(door.dist) +
-         VecCapacityBytes(door.visited) +
-         door.heap.capacity() * sizeof(std::pair<double, DoorId>) +
-         door.bucket.CapacityBytes() + VecCapacityBytes(door.relax_cand) +
-         VecCapacityBytes(door.relax_idx) +
+         VecCapacityBytes(door.visited) + door.bucket.CapacityBytes() +
+         VecCapacityBytes(door.relax_cand) + VecCapacityBytes(door.relax_idx) +
          VecCapacityBytes(source_doors) + VecCapacityBytes(cand_doors) +
          VecCapacityBytes(src_leg) + VecCapacityBytes(dst_leg) +
          VecCapacityBytes(d2d_cache) + VecCapacityBytes(prev) +
@@ -70,7 +68,6 @@ size_t QueryScratch::UsedBytes() const {
   return GeoUsedBytes(geo) + GeoUsedBytes(bucket.geo) +
          VecUsedBytes(bucket.cell_order) + VecUsedBytes(bucket.filter_mask) +
          VecUsedBytes(door.dist) + VecUsedBytes(door.visited) +
-         door.heap.size() * sizeof(std::pair<double, DoorId>) +
          door.bucket.size() * sizeof(std::pair<double, DoorId>) +
          VecUsedBytes(door.relax_cand) + VecUsedBytes(door.relax_idx) +
          VecUsedBytes(source_doors) + VecUsedBytes(cand_doors) +
@@ -90,7 +87,6 @@ void QueryScratch::ShrinkToFit() {
   bucket.filter_mask.shrink_to_fit();
   door.dist.shrink_to_fit();
   door.visited.shrink_to_fit();
-  door.heap.shrink_to_fit();
   door.bucket.ShrinkToFit();
   door.relax_cand.shrink_to_fit();
   door.relax_idx.shrink_to_fit();

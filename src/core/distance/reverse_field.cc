@@ -1,6 +1,6 @@
 #include "core/distance/reverse_field.h"
 
-#include "core/distance/d2d_distance.h"
+#include "core/distance/bucket_queue.h"
 #include "core/distance/query_scratch.h"
 
 namespace indoor {
@@ -14,47 +14,40 @@ ReverseDistanceField::ReverseDistanceField(const DistanceContext& ctx,
   if (!host.ok()) return;
   host_ = host.value();
 
-  std::vector<char> visited(plan.door_count(), 0);
   // Dijkstra on the reversed door graph: settled dj relaxes every di with a
-  // forward edge di -> dj, iterated over the transposed CSR rows. Final
+  // forward edge di -> dj, iterated over the transposed CSR rows. Those
+  // rows have no SoA twin for the SIMD relaxation, so this builder (like
+  // the landmark backward rows) keeps its own loop instead of
+  // RunDoorDijkstra (d2d_runner.h), and emits no Dijkstra metrics. Final
   // distances are relaxation-order independent, so they match the nested
-  // LeaveableParts/EnterDoors loops bit-for-bit — with either frontier
-  // kind (this builder intentionally emits no Dijkstra metrics).
-  const auto build = [&](auto& frontier) {
-    // Seeds: crossing an entering door of the host partition leaves only
-    // the final intra leg to the target. The legs keep the historical
-    // door->target orientation (each its own solve), so seed values match
-    // exactly.
-    for (DoorId dt : plan.EnterDoors(host_)) {
-      const double leg = plan.partition(host_).IntraDistance(
-          plan.door(dt).Midpoint(), target);
-      if (leg == kInfDistance) continue;
-      if (leg < door_dist_[dt]) {
-        door_dist_[dt] = leg;
-        frontier.push({leg, dt});
+  // LeaveableParts/EnterDoors loops bit-for-bit.
+  std::vector<char> visited(plan.door_count(), 0);
+  BucketQueue frontier;
+  frontier.Prepare(ctx.graph->max_door_edge_weight());
+  // Seeds: crossing an entering door of the host partition leaves only the
+  // final intra leg to the target. The legs keep the historical
+  // door->target orientation (each its own solve), so seed values match
+  // exactly.
+  for (DoorId dt : plan.EnterDoors(host_)) {
+    const double leg = plan.partition(host_).IntraDistance(
+        plan.door(dt).Midpoint(), target);
+    if (leg < door_dist_[dt]) {
+      door_dist_[dt] = leg;
+      frontier.push({leg, dt});
+    }
+  }
+  while (!frontier.empty()) {
+    const auto [d, dj] = frontier.top();
+    frontier.pop();
+    if (visited[dj]) continue;
+    visited[dj] = 1;
+    for (const DoorGraphEdge& e : ctx.graph->ReverseDoorEdges(dj)) {
+      if (visited[e.to]) continue;
+      if (d + e.weight < door_dist_[e.to]) {
+        door_dist_[e.to] = d + e.weight;
+        frontier.push({door_dist_[e.to], e.to});
       }
     }
-    while (!frontier.empty()) {
-      const auto [d, dj] = frontier.top();
-      frontier.pop();
-      if (visited[dj]) continue;
-      visited[dj] = 1;
-      for (const DoorGraphEdge& e : ctx.graph->ReverseDoorEdges(dj)) {
-        if (visited[e.to]) continue;
-        if (d + e.weight < door_dist_[e.to]) {
-          door_dist_[e.to] = d + e.weight;
-          frontier.push({door_dist_[e.to], e.to});
-        }
-      }
-    }
-  };
-  if (ctx.queue == QueueKind::kBucket) {
-    BucketQueue frontier;
-    ResetFrontier(&frontier, *ctx.graph);
-    build(frontier);
-  } else {
-    MinHeap<std::pair<double, DoorId>> frontier;
-    build(frontier);
   }
 }
 

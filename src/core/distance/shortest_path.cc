@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/distance/d2d_distance.h"
+#include "core/distance/d2d_runner.h"
 #include "core/distance/query_scratch.h"
 
 namespace indoor {
@@ -64,37 +64,14 @@ IndoorPath Pt2PtShortestPath(const DistanceContext& ctx, const Point& ps,
   // Multi-source Dijkstra over doors, seeded at the source partition's
   // leaveable doors (see Pt2PtDistanceVirtual). Entry and exit legs are
   // each one batched geodesic solve.
-  const size_t n = plan.door_count();
-  std::vector<double> dist(n, kInfDistance);
-  std::vector<char> visited(n, 0);
-  std::vector<PrevEntry> prev(n);
-  MinHeap<std::pair<double, DoorId>> heap;
   const auto& src_doors = plan.LeaveDoors(endpoints.vs);
   auto& src_leg = scratch.src_leg;
   src_leg.resize(src_doors.size());
   ctx.locator->DistVMany(endpoints.vs, ps, src_doors, &scratch.geo,
                          src_leg.data());
-  for (size_t i = 0; i < src_doors.size(); ++i) {
-    const double d0 = src_leg[i];
-    if (d0 != kInfDistance && d0 < dist[src_doors[i]]) {
-      dist[src_doors[i]] = d0;
-      heap.push({d0, src_doors[i]});
-    }
-  }
-  while (!heap.empty()) {
-    const auto [d, di] = heap.top();
-    heap.pop();
-    if (visited[di]) continue;
-    visited[di] = 1;
-    for (const DoorGraphEdge& e : ctx.graph->DoorEdges(di)) {
-      if (visited[e.to]) continue;
-      if (d + e.weight < dist[e.to]) {
-        dist[e.to] = d + e.weight;
-        prev[e.to] = {e.via, di};
-        heap.push({dist[e.to], e.to});
-      }
-    }
-  }
+  std::vector<PrevEntry> prev;
+  RunDoorDijkstra(*ctx.graph, src_doors, src_leg, &scratch.door, &prev);
+  const std::vector<double>& dist = scratch.door.dist;
 
   // Best destination door.
   const auto& dst_doors = plan.EnterDoors(endpoints.vt);

@@ -5,15 +5,14 @@
 
 namespace indoor {
 
-DistanceMatrix::DistanceMatrix(const DistanceGraph& graph, unsigned threads,
-                               QueueKind kind)
+DistanceMatrix::DistanceMatrix(const DistanceGraph& graph, unsigned threads)
     : n_(graph.plan().door_count()) {
   std::vector<double> data(n_ * n_, kInfDistance);
   // One single-source Dijkstra per row; rows are disjoint slots, so the
   // parallel build is bit-identical to the serial one (thread_pool.h).
   ParallelFor(0, n_, threads, [&](size_t d) {
     std::vector<double> dist;
-    D2dDistancesFrom(graph, static_cast<DoorId>(d), &dist, nullptr, kind);
+    D2dDistancesFrom(graph, static_cast<DoorId>(d), &dist, nullptr);
     std::copy(dist.begin(), dist.end(), data.begin() + d * n_);
   });
   data_ = OwnedSpan<double>::Own(std::move(data));

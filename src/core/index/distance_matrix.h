@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "core/distance/bucket_queue.h"
 #include "core/model/distance_graph.h"
 #include "util/owned_span.h"
 
@@ -23,11 +22,8 @@ class DistanceMatrix {
 
   /// Builds via one single-source Algorithm-1 run per door. Rows are
   /// independent, so construction parallelizes across `threads` workers
-  /// (0 = use the hardware concurrency; 1 = sequential). `kind` selects
-  /// the Dijkstra frontier; the entries are identical either way
-  /// (bucket_queue.h), the bucket queue just builds faster.
-  explicit DistanceMatrix(const DistanceGraph& graph, unsigned threads = 1,
-                          QueueKind kind = QueueKind::kBucket);
+  /// (0 = use the hardware concurrency; 1 = sequential).
+  explicit DistanceMatrix(const DistanceGraph& graph, unsigned threads = 1);
 
   /// Adopts a pre-computed payload (used by the binary loader, index_io.h).
   /// `data` must hold n*n row-major entries.

@@ -55,8 +55,7 @@ std::vector<uint32_t> ClusterPartitions(const FloorPlan& plan,
 }  // namespace
 
 HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
-                                     unsigned threads, unsigned cell_target,
-                                     QueueKind kind) {
+                                     unsigned threads, unsigned cell_target) {
   const FloorPlan& plan = graph.plan();
   const size_t n = plan.door_count();
   HierarchyIndex h;
@@ -176,7 +175,7 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
     const std::vector<uint32_t>& locals = local_map[c];
     size_t remaining = m;
     DoorDijkstraScratch scratch;
-    RunDoorDijkstra(graph, src, &scratch, kind, nullptr,
+    RunDoorDijkstra(graph, src, &scratch, nullptr,
                     [&](DoorId di, double d) {
                       const uint32_t local = locals[di];
                       if (local == kNone) return true;
@@ -210,7 +209,7 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
     double* const row = border_matrix.data() + b * nb;
     size_t remaining = nb;
     DoorDijkstraScratch scratch;
-    RunDoorDijkstra(graph, src, &scratch, kind, nullptr,
+    RunDoorDijkstra(graph, src, &scratch, nullptr,
                     [&](DoorId di, double d) {
                       const uint32_t slot = border_of_door[di];
                       if (slot == kNone) return true;

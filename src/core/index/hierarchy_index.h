@@ -59,7 +59,6 @@
 #include <span>
 #include <vector>
 
-#include "core/distance/bucket_queue.h"
 #include "core/model/distance_graph.h"
 #include "util/owned_span.h"
 
@@ -81,11 +80,9 @@ class HierarchyIndex {
   /// Dijkstra per (cell, member) block row and per border-clique row.
   /// Rows are independent, so construction parallelizes across `threads`
   /// workers (0 = hardware concurrency, 1 = sequential) with bit-identical
-  /// output; `kind` selects the Dijkstra frontier (values are identical
-  /// either way).
+  /// output.
   static HierarchyIndex Build(const DistanceGraph& graph, unsigned threads,
-                              unsigned cell_target,
-                              QueueKind kind = QueueKind::kBucket);
+                              unsigned cell_target);
 
   /// Adoption payload for the binary loader (index_io.cc). Spans may own
   /// their storage (read-mode load) or borrow it from the mapped container

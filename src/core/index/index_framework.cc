@@ -60,7 +60,6 @@ IndexFramework::IndexFramework(const FloorPlan& plan, IndexArtifacts artifacts,
 
 void IndexFramework::BuildStructures(IndexArtifacts* artifacts) {
   const size_t doors = plan_->door_count();
-  const QueueKind kind = queue_kind();
   if (artifacts != nullptr) mapping_ = std::move(artifacts->mapping);
   if (options_.use_hierarchy) {
     if (artifacts != nullptr && artifacts->hierarchy.has_value()) {
@@ -70,7 +69,7 @@ void IndexFramework::BuildStructures(IndexArtifacts* artifacts) {
     } else {
       hierarchy_ = TimedBuild("build.hier_ms", [&] {
         return HierarchyIndex::Build(graph_, options_.build_threads,
-                                     options_.hierarchy_cell_target, kind);
+                                     options_.hierarchy_cell_target);
       });
     }
   } else {
@@ -80,7 +79,7 @@ void IndexFramework::BuildStructures(IndexArtifacts* artifacts) {
           << "preloaded Md2d was built for a different plan";
     } else {
       d2d_matrix_ = TimedBuild("build.md2d_ms", [&] {
-        return DistanceMatrix(graph_, options_.build_threads, kind);
+        return DistanceMatrix(graph_, options_.build_threads);
       });
     }
     if (artifacts != nullptr && artifacts->midx.has_value()) {
@@ -112,7 +111,7 @@ void IndexFramework::BuildStructures(IndexArtifacts* artifacts) {
           << "preloaded landmarks were built for a different plan";
     } else {
       landmarks_ = TimedBuild("build.landmarks_ms", [&] {
-        return LandmarkIndex::Build(graph_, landmark_count, kind);
+        return LandmarkIndex::Build(graph_, landmark_count);
       });
     }
   }

@@ -33,12 +33,6 @@ struct IndexOptions {
   /// structures (see thread_pool.h).
   unsigned build_threads = 1;
 
-  /// Frontier of every door-graph Dijkstra issued through this framework
-  /// (Md2d build rows, pt2pt solves, distance fields). The bounded-weight
-  /// bucket queue (bucket_queue.h) pops the identical (distance, id)
-  /// sequence as the binary heap, so results are bit-identical; it is only
-  /// a constant-factor speedup. Off = classic binary heap.
-  bool use_bucket_queue = true;
   /// Build ALT landmark rows (landmark_index.h) and attach them to query
   /// contexts; pruning with them is loss-free, so results stay
   /// bit-identical with landmarks on or off.
@@ -127,11 +121,6 @@ class IndexFramework {
   /// IndexOptions::use_hierarchy, where the hierarchy serves instead.
   bool has_flat_matrix() const { return !options_.use_hierarchy; }
 
-  /// The frontier every door-graph Dijkstra of this framework uses.
-  QueueKind queue_kind() const {
-    return options_.use_bucket_queue ? QueueKind::kBucket : QueueKind::kHeap;
-  }
-
   const DistanceMatrix& d2d_matrix() const {
     INDOOR_CHECK(has_flat_matrix())
         << "flat Md2d disabled by IndexOptions::use_hierarchy; this query "
@@ -196,8 +185,6 @@ class IndexFramework {
     DistanceContext ctx(graph_, locator_);
     ctx.cache = query_cache_.get();
     ctx.landmarks = landmarks();
-    ctx.queue =
-        options_.use_bucket_queue ? QueueKind::kBucket : QueueKind::kHeap;
     return ctx;
   }
 

@@ -5,14 +5,17 @@
 
 #include "core/distance/d2d_distance.h"
 #include "util/metrics.h"
+#include "util/min_heap.h"
 
 namespace indoor {
 namespace {
 
 /// Single-target reverse Dijkstra: dist[d] = d(d -> target) for every
-/// door, over the transposed CSR rows. Build-time only, so a plain local
-/// heap is fine; final distances are relaxation-order independent and
-/// match the forward solves on the reversed graph bit-for-bit.
+/// door, over the transposed CSR rows. Those rows have no SoA twin for
+/// RunDoorDijkstra's SIMD relaxation, and this runs at build time only,
+/// so a plain local heap is fine; final distances are relaxation-order
+/// independent and match the forward solves on the reversed graph
+/// bit-for-bit.
 void ReverseDistancesTo(const DistanceGraph& graph, DoorId target,
                         std::vector<double>* dist_out) {
   const size_t n = graph.plan().door_count();
@@ -39,8 +42,7 @@ void ReverseDistancesTo(const DistanceGraph& graph, DoorId target,
 
 }  // namespace
 
-LandmarkIndex LandmarkIndex::Build(const DistanceGraph& graph, size_t count,
-                                   QueueKind kind) {
+LandmarkIndex LandmarkIndex::Build(const DistanceGraph& graph, size_t count) {
   const size_t n = graph.plan().door_count();
   LandmarkIndex index;
   if (n == 0 || count == 0) return index;
@@ -59,7 +61,7 @@ LandmarkIndex LandmarkIndex::Build(const DistanceGraph& graph, size_t count,
   for (size_t l = 0; l < count; ++l) {
     landmark_doors.push_back(next);
     fwd_rows.emplace_back();
-    D2dDistancesFrom(graph, next, &fwd_rows.back(), nullptr, kind);
+    D2dDistancesFrom(graph, next, &fwd_rows.back(), nullptr);
     bwd_rows.emplace_back();
     ReverseDistancesTo(graph, next, &bwd_rows.back());
 

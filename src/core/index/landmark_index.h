@@ -30,7 +30,6 @@
 #include <span>
 #include <vector>
 
-#include "core/distance/bucket_queue.h"
 #include "core/model/distance_graph.h"
 #include "util/owned_span.h"
 #include "util/simd.h"
@@ -49,11 +48,9 @@ class LandmarkIndex {
   LandmarkIndex() = default;
 
   /// Selects min(count, door count, kMaxCount) landmarks by farthest-point
-  /// sampling and precomputes their forward/backward rows. `kind` selects
-  /// the Dijkstra frontier for the row solves (values are identical either
-  /// way). Returns an invalid index when the plan has no doors.
-  static LandmarkIndex Build(const DistanceGraph& graph, size_t count,
-                             QueueKind kind = QueueKind::kBucket);
+  /// sampling and precomputes their forward/backward rows. Returns an
+  /// invalid index when the plan has no doors.
+  static LandmarkIndex Build(const DistanceGraph& graph, size_t count);
 
   /// Adopts precomputed payloads (binary loader, index_io.h). `fwd` and
   /// `bwd` are the transposed per-door rows, doors * count entries each.

@@ -64,7 +64,7 @@ void BatchExecutor::Execute(const QueryRequest& request, PartitionId host,
         result->distance = Pt2PtDistanceHierarchy(
             index_->plan(), index_->graph(), index_->hierarchy_index(), host,
             request.a, target.value(), request.b, scratch,
-            index_->query_cache(), index_->queue_kind());
+            index_->query_cache());
       } else {
         result->distance = Pt2PtDistanceMatrix(
             index_->plan(), index_->d2d_matrix(), host, request.a,
@@ -94,7 +94,7 @@ void BatchExecutor::ExecuteObserved(const QueryRequest& request,
   qlog::QueryLogScope scope(
       static_cast<qlog::RecordKind>(static_cast<uint8_t>(request.kind)),
       request.a.x, request.a.y, request.b.x, request.b.y, request.radius,
-      static_cast<uint32_t>(request.k), /*explicit_scratch=*/true);
+      qlog::LoggedK(request.k), /*explicit_scratch=*/true);
   scope.SetBatch(batch_id, static_cast<uint16_t>(worker));
   std::optional<metrics::QueryTrace> trace;
   if (collect_trace) trace.emplace();

@@ -21,9 +21,10 @@
 //    row visits in ascending id and skips rejected doors. kNN depends on
 //    it: KnnCollector breaks exact ties at its admission boundary by offer
 //    order. Midx rows are sorted by (distance, id), the settle order of
-//    both Dijkstra frontiers, so a run that tests before each visit emits
-//    the Midx sequence; its push prune drops only doors the scan would
-//    have stopped at or beyond, because the test never loosens.
+//    RunDoorDijkstra (d2d_runner.h), so a run that tests before each
+//    visit emits the Midx sequence; its push prune drops only doors the
+//    scan would have stopped at or beyond, because the test never
+//    loosens.
 //  * Only ExpandWithin (range, whose result is a set: it merges the
 //    visited doors into a side plan and emits its ids from a bitmap) may
 //    take the unordered block-row path: with a static radius strictly
@@ -73,7 +74,6 @@ class DoorBall {
   DoorBall(const IndexFramework& index, bool use_index_matrix,
            DoorDijkstraScratch* scratch)
       : graph_(&index.graph()),
-        queue_(index.queue_kind()),
         scratch_(scratch),
         n_(index.plan().door_count()),
         md2d_(index.has_flat_matrix() ? &index.d2d_matrix() : nullptr),
@@ -155,7 +155,7 @@ class DoorBall {
   void Run(DoorId src, const Accept& accept, const Visit& visit) {
     bool cut = false;  // stopped at a rejected door or pruned a push
     RunDoorDijkstra(
-        *graph_, src, scratch_, queue_, nullptr,
+        *graph_, src, scratch_, nullptr,
         [&](DoorId dj, double d) {
           if (!accept(d)) {
             cut = true;
@@ -164,7 +164,7 @@ class DoorBall {
           visit(dj, d);
           return true;
         },
-        [&](double cand) {
+        [&](DoorId, double cand) {
           if (accept(cand)) return true;
           cut = true;
           return false;
@@ -179,7 +179,6 @@ class DoorBall {
   }
 
   const DistanceGraph* graph_;
-  QueueKind queue_;
   DoorDijkstraScratch* scratch_;
   size_t n_;
   const DistanceMatrix* md2d_;      // flat engines

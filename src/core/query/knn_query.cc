@@ -1,6 +1,7 @@
 #include "core/query/knn_query.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "core/distance/query_scratch.h"
@@ -52,6 +53,12 @@ void SearchSide(const IndexFramework& index, PartitionId part, DoorId dj,
 /// served result is always the leading k entries.
 constexpr size_t kKnnRepairSpares = 4;
 
+/// k + kKnnRepairSpares, saturated: a k near SIZE_MAX already asks for
+/// every object, and the plain sum would wrap to a tiny capacity.
+size_t WithSpares(size_t k) {
+  return k > SIZE_MAX - kKnnRepairSpares ? SIZE_MAX : k + kKnnRepairSpares;
+}
+
 enum class KnnRepair : uint8_t {
   kUnchanged,  ///< no moved object affects the result; refresh epochs only
   kPatched,    ///< stale->neighbors now holds the exact fresh answer
@@ -85,7 +92,7 @@ KnnRepair RepairKnnResult(const IndexFramework& index, const Point& q,
                           size_t k, PartitionId host, StaleResult* stale,
                           GeodesicScratch* geo) {
   std::vector<Neighbor>& nbrs = stale->neighbors;
-  const size_t cap = k + kKnnRepairSpares;
+  const size_t cap = WithSpares(k);
   // Invariant carried by every cached list of size >= k: entries are
   // (distance, id)-sorted with exact distances, and every object whose
   // current distance is below the last entry's distance is IN the list
@@ -327,7 +334,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
                                QueryScratch* scratch) {
   INDOOR_LATENCY_SPAN("knn", "query.knn.latency_ns");
   qlog::QueryLogScope qscope(qlog::RecordKind::kKnn, q.x, q.y, 0.0, 0.0, 0.0,
-                             static_cast<uint32_t>(k), scratch != nullptr);
+                             qlog::LoggedK(k), scratch != nullptr);
   const FloorPlan& plan = index.plan();
   const QueryCache* cache = index.query_cache();
   const auto host = CachedHostPartition(cache, index.locator(), q);
@@ -411,7 +418,7 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   // way (a wider collector only ever visits a superset of doors, and
   // pruned doors offer at or beyond the running bound, so the top-k
   // prefix is unaffected).
-  collector.Reset(cache != nullptr ? k + kKnnRepairSpares : k);
+  collector.Reset(cache != nullptr ? WithSpares(k) : k);
   // Line 3: search the host partition directly.
   INDOOR_METRICS_ONLY(
       const uint64_t hot_before = scratch->bucket.objects_tested;

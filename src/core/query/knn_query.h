@@ -33,11 +33,12 @@ struct KnnQueryOptions {
 };
 
 /// Executes the kNN query: the k objects with smallest indoor walking
-/// distance from q, nearest first (fewer if the building holds fewer
-/// reachable objects). Empty when k == 0 or q is not inside any partition
-/// (NaN or infinite coordinates included). The answer is the same with the
-/// cache on and off. A null `scratch` falls back to the calling thread's
-/// TlsQueryScratch().
+/// distance from q, nearest first. k = 0 returns an empty result; any k
+/// at or above the population (SIZE_MAX included) returns every object a
+/// walk from q reaches, nearest first. Empty when q is not inside any
+/// partition (NaN or infinite coordinates included). The answer is the
+/// same with the cache on and off. A null `scratch` falls back to the
+/// calling thread's TlsQueryScratch().
 std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
                                size_t k, KnnQueryOptions options = {},
                                QueryScratch* scratch = nullptr);

@@ -42,7 +42,10 @@ namespace indoor {
 /// are not located: Distance returns kInfDistance, Range and Nearest
 /// return empty results, Locate returns NotFound, and RunBatch answers
 /// such requests the same way. Range also returns empty when r is
-/// negative or NaN. The answer is the same with the cache on and off.
+/// negative or NaN. Nearest returns empty when k = 0, and every object a
+/// walk from q reaches, nearest first, when k is at or above the
+/// population (SIZE_MAX included). The answer is the same with the cache
+/// on and off.
 class QueryEngine {
  public:
   /// Takes ownership of the plan and builds every index over it.
@@ -92,8 +95,7 @@ class QueryEngine {
     if (!index_->has_flat_matrix()) {
       return Pt2PtDistanceHierarchy(index_->locator(), index_->graph(),
                                     index_->hierarchy_index(), ps, pt,
-                                    scratch, index_->query_cache(),
-                                    index_->queue_kind());
+                                    scratch, index_->query_cache());
     }
     return Pt2PtDistanceMatrix(index_->locator(), index_->d2d_matrix(), ps,
                                pt, scratch, index_->query_cache());
@@ -103,7 +105,7 @@ class QueryEngine {
   double DoorDistance(DoorId ds, DoorId dt) const {
     if (!index_->has_flat_matrix()) {
       return HierarchyDoorDistance(index_->graph(), index_->hierarchy_index(),
-                                   ds, dt, nullptr, index_->queue_kind());
+                                   ds, dt);
     }
     return index_->d2d_matrix().At(ds, dt);
   }

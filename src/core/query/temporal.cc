@@ -6,6 +6,9 @@
 namespace indoor {
 namespace internal {
 
+// Keeps its own loop instead of RunDoorDijkstra (d2d_runner.h): a closed
+// door must be skipped before its distance is updated, which the runner's
+// batch relaxation of a whole edge span does not allow.
 double SnapshotDijkstra(const DistanceGraph& graph,
                         const DoorSchedule& schedule, double time,
                         const std::vector<std::pair<DoorId, double>>& seeds,

@@ -94,7 +94,7 @@ struct QueryLogRecord {
   /// order-independent hash of the result set (kRange ids; kKnn ids and
   /// distance bit patterns). Bitwise-comparable across replays.
   double result_value = 0.0;
-  /// k (kKnn only).
+  /// k (kKnn only), saturated at UINT32_MAX by LoggedK.
   uint32_t k = 0;
   /// Result count (1/0 reachable for kDistance, result-set size else).
   uint32_t result_count = 0;
@@ -117,6 +117,13 @@ static_assert(sizeof(QueryLogRecord) == 112,
               "capture format: record layout drifted");
 static_assert(std::is_trivially_copyable_v<QueryLogRecord>,
               "records are written/read as raw bytes");
+
+/// A kNN k as the record stores it. Object ids are 32-bit, so any k at or
+/// above UINT32_MAX already asks for every object; saturating keeps that
+/// meaning on replay, where truncation would turn 2^32 + 5 into 5.
+inline uint32_t LoggedK(size_t k) {
+  return k > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(k);
+}
 
 /// Appends `record` as one JSON object (no trailing newline) — the JSONL
 /// sink and the slow-query sink line format.

@@ -1,10 +1,11 @@
 // The bounded-weight bucket queue, the SIMD relaxation kernels, and the
 // ALT landmark pruning all promise one thing: every distance result stays
-// bitwise identical to the binary-heap, scalar, landmark-free baseline.
-// These suites hold them to it — queue pop order against a heap oracle,
-// Dijkstra solves heap-vs-bucket, full query engines across the option
-// matrix — plus the landmark bound/persistence contracts and a concurrent
-// stress run for TSan.
+// bitwise identical to the reference oracles (core/query/reference_impls.h)
+// and to the landmark-free engine. These suites hold them to it — queue
+// pop order against a MinHeap oracle, Dijkstra solves against the
+// reference Algorithm 1, full query engines with landmarks on and off —
+// plus the landmark bound/persistence contracts and a concurrent stress
+// run for TSan.
 
 #include "core/distance/bucket_queue.h"
 
@@ -24,6 +25,7 @@
 #include "core/index/landmark_index.h"
 #include "core/query/knn_query.h"
 #include "core/query/range_query.h"
+#include "core/query/reference_impls.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
@@ -151,29 +153,34 @@ BuildingConfig TestBuilding(uint64_t seed) {
   return config;
 }
 
-TEST(BucketDijkstraTest, SingleSourceRowsBitwiseEqualHeap) {
+TEST(BucketDijkstraTest, SingleSourceRowsBitwiseEqualReference) {
+  // One-way doors make the door graph directed, so every ordered pair is
+  // its own check.
   const FloorPlan plan = GenerateBuilding(TestBuilding(11));
   const DistanceGraph graph(plan);
   const size_t n = plan.door_count();
-  std::vector<double> heap_dist, bucket_dist;
-  std::vector<PrevEntry> heap_prev, bucket_prev;
+  std::vector<double> dist;
+  std::vector<PrevEntry> prev;
   for (DoorId ds = 0; ds < n; ++ds) {
-    D2dDistancesFrom(graph, ds, &heap_dist, &heap_prev, QueueKind::kHeap);
-    D2dDistancesFrom(graph, ds, &bucket_dist, &bucket_prev,
-                     QueueKind::kBucket);
-    ASSERT_EQ(heap_dist.size(), bucket_dist.size());
-    for (size_t t = 0; t < n; ++t) {
+    D2dDistancesFrom(graph, ds, &dist, &prev);
+    ASSERT_EQ(dist.size(), n);
+    for (DoorId t = 0; t < n; ++t) {
       // ASSERT_EQ is operator== — bitwise for these non-NaN values.
-      ASSERT_EQ(heap_dist[t], bucket_dist[t]) << "ds=" << ds << " t=" << t;
-      ASSERT_EQ(heap_prev[t].door, bucket_prev[t].door)
+      ASSERT_EQ(dist[t], reference::D2dDistance(graph, ds, t))
           << "ds=" << ds << " t=" << t;
-      ASSERT_EQ(heap_prev[t].partition, bucket_prev[t].partition)
+      if (t == ds || dist[t] == kInfDistance) {
+        ASSERT_EQ(prev[t].door, kInvalidId) << "ds=" << ds << " t=" << t;
+        continue;
+      }
+      // The prev tree names the edge that produced the settled value.
+      const PrevEntry& p = prev[t];
+      ASSERT_EQ(dist[t], dist[p.door] + graph.Fd2d(p.partition, p.door, t))
           << "ds=" << ds << " t=" << t;
     }
   }
 }
 
-TEST(BucketDijkstraTest, TargetedSolvesBitwiseEqualHeap) {
+TEST(BucketDijkstraTest, TargetedSolvesBitwiseEqualReference) {
   const FloorPlan plan = GenerateBuilding(TestBuilding(13));
   const DistanceGraph graph(plan);
   const size_t n = plan.door_count();
@@ -182,99 +189,78 @@ TEST(BucketDijkstraTest, TargetedSolvesBitwiseEqualHeap) {
   for (int i = 0; i < 300; ++i) {
     const DoorId ds = static_cast<DoorId>(rng.NextU64(n));
     const DoorId dt = static_cast<DoorId>(rng.NextU64(n));
-    const double via_heap =
-        D2dDistance(graph, ds, dt, &scratch, QueueKind::kHeap);
-    const double via_bucket =
-        D2dDistance(graph, ds, dt, &scratch, QueueKind::kBucket);
-    ASSERT_EQ(via_heap, via_bucket) << "ds=" << ds << " dt=" << dt;
+    ASSERT_EQ(D2dDistance(graph, ds, dt, &scratch),
+              reference::D2dDistance(graph, ds, dt))
+        << "ds=" << ds << " dt=" << dt;
   }
 }
 
-TEST(BucketDijkstraTest, MatrixBuildIdenticalAcrossQueues) {
-  const FloorPlan plan = MakeRunningExamplePlan();
+TEST(BucketDijkstraTest, MatrixBuildIdenticalAcrossThreadCounts) {
+  const FloorPlan plan = GenerateBuilding(TestBuilding(19));
   const DistanceGraph graph(plan);
-  const DistanceMatrix heap_matrix(graph, 1, QueueKind::kHeap);
-  const DistanceMatrix bucket_matrix(graph, 2, QueueKind::kBucket);
+  const DistanceMatrix serial(graph, 1);
+  const DistanceMatrix parallel(graph, 2);
   for (DoorId a = 0; a < plan.door_count(); ++a) {
     for (DoorId b = 0; b < plan.door_count(); ++b) {
-      ASSERT_EQ(heap_matrix.At(a, b), bucket_matrix.At(a, b));
+      ASSERT_EQ(serial.At(a, b), parallel.At(a, b));
     }
   }
 }
 
 // ----------------------------------------------------- engine equivalence
 
-IndexOptions BaselineOptions() {
+IndexOptions EngineOptions(bool landmarks) {
   IndexOptions options;
-  options.use_bucket_queue = false;
-  options.use_landmarks = false;
+  options.use_landmarks = landmarks;
   options.enable_query_cache = false;
   return options;
 }
 
-IndexOptions BucketOnlyOptions() {
-  IndexOptions options = BaselineOptions();
-  options.use_bucket_queue = true;
-  return options;
-}
-
-IndexOptions FullOptions() {
-  IndexOptions options = BucketOnlyOptions();
-  options.use_landmarks = true;
-  return options;
-}
-
-/// Three engines over one plan/object population: the heap + no-landmark
-/// baseline, bucket queue only, and bucket + landmarks (the defaults minus
-/// the query cache, which has its own equivalence suite).
+/// Two engines over one plan/object population: landmarks off and on (the
+/// defaults minus the query cache, which has its own equivalence suite).
 class EngineEquivalenceTest : public ::testing::Test {
  protected:
   EngineEquivalenceTest()
       : plan_(GenerateBuilding(TestBuilding(17))),
-        baseline_(plan_, BaselineOptions()),
-        bucket_(plan_, BucketOnlyOptions()),
-        full_(plan_, FullOptions()) {
+        plain_(plan_, EngineOptions(false)),
+        landmarks_(plan_, EngineOptions(true)) {
     Rng rng(5);
     const auto objects = GenerateObjects(plan_, 150, &rng);
-    PopulateStore(objects, &baseline_.objects());
-    PopulateStore(objects, &bucket_.objects());
-    PopulateStore(objects, &full_.objects());
+    PopulateStore(objects, &plain_.objects());
+    PopulateStore(objects, &landmarks_.objects());
   }
 
   FloorPlan plan_;
-  IndexFramework baseline_;
-  IndexFramework bucket_;
-  IndexFramework full_;
+  IndexFramework plain_;
+  IndexFramework landmarks_;
 };
 
-TEST_F(EngineEquivalenceTest, Pt2PtVariantsBitwiseEqualAcrossEngines) {
+TEST_F(EngineEquivalenceTest, Pt2PtVariantsBitwiseEqualWithLandmarks) {
   Rng rng(23);
-  const auto base_ctx = baseline_.distance_context();
-  const auto bucket_ctx = bucket_.distance_context();
-  const auto full_ctx = full_.distance_context();
+  const auto plain_ctx = plain_.distance_context();
+  const auto lm_ctx = landmarks_.distance_context();
+  ASSERT_NE(lm_ctx.landmarks, nullptr);
   for (const auto& [p, q] : GeneratePositionPairs(plan_, 40, &rng)) {
-    const double basic = Pt2PtDistanceBasic(base_ctx, p, q);
-    ASSERT_EQ(Pt2PtDistanceBasic(bucket_ctx, p, q), basic);
-    ASSERT_EQ(Pt2PtDistanceBasic(full_ctx, p, q), basic);
+    const double basic = Pt2PtDistanceBasic(plain_ctx, p, q);
+    ASSERT_EQ(basic, reference::Pt2PtDistanceBasic(plain_ctx, p, q));
+    ASSERT_EQ(Pt2PtDistanceBasic(lm_ctx, p, q), basic);
 
-    const double refined = Pt2PtDistanceRefined(base_ctx, p, q);
-    ASSERT_EQ(Pt2PtDistanceRefined(bucket_ctx, p, q), refined);
-    ASSERT_EQ(Pt2PtDistanceRefined(full_ctx, p, q), refined);
+    const double refined = Pt2PtDistanceRefined(plain_ctx, p, q);
+    ASSERT_EQ(refined, reference::Pt2PtDistanceRefined(plain_ctx, p, q));
+    ASSERT_EQ(Pt2PtDistanceRefined(lm_ctx, p, q), refined);
 
     for (const ReusePolicy policy :
          {ReusePolicy::kSafe, ReusePolicy::kPaperFaithful}) {
-      const double reuse = Pt2PtDistanceReuse(base_ctx, p, q, policy);
-      ASSERT_EQ(Pt2PtDistanceReuse(bucket_ctx, p, q, policy), reuse);
-      ASSERT_EQ(Pt2PtDistanceReuse(full_ctx, p, q, policy), reuse);
+      const double reuse = Pt2PtDistanceReuse(plain_ctx, p, q, policy);
+      ASSERT_EQ(Pt2PtDistanceReuse(lm_ctx, p, q, policy), reuse);
     }
 
-    const double virt = Pt2PtDistanceVirtual(base_ctx, p, q);
-    ASSERT_EQ(Pt2PtDistanceVirtual(bucket_ctx, p, q), virt);
-    ASSERT_EQ(Pt2PtDistanceVirtual(full_ctx, p, q), virt);
+    const double virt = Pt2PtDistanceVirtual(plain_ctx, p, q);
+    ASSERT_EQ(Pt2PtDistanceVirtual(lm_ctx, p, q), virt);
   }
 }
 
-TEST_F(EngineEquivalenceTest, RangeAndKnnIdenticalAcrossEngines) {
+TEST_F(EngineEquivalenceTest, RangeAndKnnIdenticalWithLandmarks) {
   Rng rng(31);
   const auto queries = GenerateQueryPositions(plan_, 25, &rng);
   for (const bool use_midx : {true, false}) {
@@ -284,31 +270,29 @@ TEST_F(EngineEquivalenceTest, RangeAndKnnIdenticalAcrossEngines) {
     knn_options.use_index_matrix = use_midx;
     for (const Point& q : queries) {
       for (const double r : {8.0, 30.0}) {
-        const auto expect = RangeQuery(baseline_, q, r, range_options);
-        EXPECT_EQ(RangeQuery(bucket_, q, r, range_options), expect);
-        EXPECT_EQ(RangeQuery(full_, q, r, range_options), expect);
+        EXPECT_EQ(RangeQuery(landmarks_, q, r, range_options),
+                  RangeQuery(plain_, q, r, range_options));
       }
       for (const size_t k : {size_t{1}, size_t{10}}) {
-        const auto expect = KnnQuery(baseline_, q, k, knn_options);
-        EXPECT_EQ(KnnQuery(bucket_, q, k, knn_options), expect);
-        EXPECT_EQ(KnnQuery(full_, q, k, knn_options), expect);
+        EXPECT_EQ(KnnQuery(landmarks_, q, k, knn_options),
+                  KnnQuery(plain_, q, k, knn_options));
       }
     }
   }
 }
 
-TEST_F(EngineEquivalenceTest, DistanceFieldsIdenticalAcrossEngines) {
+TEST_F(EngineEquivalenceTest, DistanceFieldsIdenticalWithLandmarks) {
   Rng rng(41);
   const auto sources = GenerateQueryPositions(plan_, 6, &rng);
   const auto probes = GenerateQueryPositions(plan_, 20, &rng);
   for (const Point& s : sources) {
-    const DistanceField base_field(baseline_.distance_context(), s);
-    const DistanceField bucket_field(full_.distance_context(), s);
-    const ReverseDistanceField base_rev(baseline_.distance_context(), s);
-    const ReverseDistanceField bucket_rev(full_.distance_context(), s);
+    const DistanceField plain_field(plain_.distance_context(), s);
+    const DistanceField lm_field(landmarks_.distance_context(), s);
+    const ReverseDistanceField plain_rev(plain_.distance_context(), s);
+    const ReverseDistanceField lm_rev(landmarks_.distance_context(), s);
     for (const Point& p : probes) {
-      ASSERT_EQ(base_field.DistanceTo(p), bucket_field.DistanceTo(p));
-      ASSERT_EQ(base_rev.DistanceFrom(p), bucket_rev.DistanceFrom(p));
+      ASSERT_EQ(plain_field.DistanceTo(p), lm_field.DistanceTo(p));
+      ASSERT_EQ(plain_rev.DistanceFrom(p), lm_rev.DistanceFrom(p));
     }
   }
 }
@@ -341,16 +325,25 @@ TEST(LandmarkIndexTest, LowerBoundNeverExceedsExactDistance) {
   }
 }
 
-TEST(LandmarkIndexTest, BuildIdenticalAcrossQueueKinds) {
-  const FloorPlan plan = MakeRunningExamplePlan();
+TEST(LandmarkIndexTest, RowsMatchMd2d) {
+  const FloorPlan plan = GenerateBuilding(TestBuilding(43));
   const DistanceGraph graph(plan);
-  const LandmarkIndex a = LandmarkIndex::Build(graph, 4, QueueKind::kHeap);
-  const LandmarkIndex b = LandmarkIndex::Build(graph, 4, QueueKind::kBucket);
-  ASSERT_EQ(a.count(), b.count());
-  for (DoorId d = 0; d < plan.door_count(); ++d) {
-    for (size_t l = 0; l < a.count(); ++l) {
-      ASSERT_EQ(a.ForwardRow(d)[l], b.ForwardRow(d)[l]);
-      ASSERT_EQ(a.BackwardRow(d)[l], b.BackwardRow(d)[l]);
+  const LandmarkIndex landmarks = LandmarkIndex::Build(graph, 4);
+  ASSERT_TRUE(landmarks.valid());
+  const DistanceMatrix md2d(graph);
+  for (size_t l = 0; l < landmarks.count(); ++l) {
+    const DoorId lm = landmarks.doors()[l];
+    for (DoorId d = 0; d < plan.door_count(); ++d) {
+      // Forward rows are Md2d rows, bit for bit.
+      ASSERT_EQ(landmarks.ForwardRow(d)[l], md2d.At(lm, d));
+      // Backward rows sum the same edges from the other end of the path.
+      const double exact = md2d.At(d, lm);
+      if (exact == kInfDistance) {
+        ASSERT_EQ(landmarks.BackwardRow(d)[l], kInfDistance);
+      } else {
+        ASSERT_NEAR(landmarks.BackwardRow(d)[l], exact,
+                    1e-9 * (1.0 + exact));
+      }
     }
   }
 }

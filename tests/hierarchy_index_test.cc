@@ -3,7 +3,7 @@
 // plans, every pt2pt, range, and kNN answer served through the
 // partition-contraction hierarchy must be BIT-identical to the flat
 // Md2d/Midx engine's — not approximately equal, the same doubles — with
-// the cache on or off and under either Dijkstra frontier.
+// the cache on or off.
 
 #include "core/index/hierarchy_index.h"
 
@@ -40,28 +40,26 @@ FloorPlan MakeCampus(int buildings, int floors, int rooms, uint64_t seed) {
   return GenerateCampus(config);
 }
 
-IndexOptions HierOptions(bool cache, bool bucket, unsigned cell_target) {
+IndexOptions HierOptions(bool cache, unsigned cell_target) {
   IndexOptions options;
   options.use_hierarchy = true;
   options.hierarchy_cell_target = cell_target;
   options.enable_query_cache = cache;
-  options.use_bucket_queue = bucket;
   return options;
 }
 
-IndexOptions FlatOptions(bool cache, bool bucket) {
+IndexOptions FlatOptions(bool cache) {
   IndexOptions options;
   options.enable_query_cache = cache;
-  options.use_bucket_queue = bucket;
   return options;
 }
 
 /// Runs the same randomized mixed workload through both engines and
 /// demands bitwise-identical answers everywhere.
-void ExpectEngineEquality(const FloorPlan& plan, bool cache, bool bucket,
+void ExpectEngineEquality(const FloorPlan& plan, bool cache,
                           unsigned cell_target, uint64_t seed) {
-  QueryEngine flat(plan, FlatOptions(cache, bucket));
-  QueryEngine hier(plan, HierOptions(cache, bucket, cell_target));
+  QueryEngine flat(plan, FlatOptions(cache));
+  QueryEngine hier(plan, HierOptions(cache, cell_target));
   ASSERT_TRUE(hier.index().hierarchy_index().valid());
 
   Rng flat_rng(seed), hier_rng(seed);
@@ -100,20 +98,12 @@ void ExpectEngineEquality(const FloorPlan& plan, bool cache, bool bucket,
 
 TEST(HierarchyIndexTest, CampusQueriesMatchFlatBitwise) {
   const FloorPlan plan = MakeCampus(3, 3, 10, 17);
-  ExpectEngineEquality(plan, /*cache=*/true, /*bucket=*/true,
-                       /*cell_target=*/32, /*seed=*/1);
+  ExpectEngineEquality(plan, /*cache=*/true, /*cell_target=*/32, /*seed=*/1);
 }
 
 TEST(HierarchyIndexTest, CacheOffMatchesFlatBitwise) {
   const FloorPlan plan = MakeCampus(2, 4, 8, 23);
-  ExpectEngineEquality(plan, /*cache=*/false, /*bucket=*/true,
-                       /*cell_target=*/16, /*seed=*/2);
-}
-
-TEST(HierarchyIndexTest, HeapFrontierMatchesFlatBitwise) {
-  const FloorPlan plan = MakeCampus(2, 3, 9, 31);
-  ExpectEngineEquality(plan, /*cache=*/true, /*bucket=*/false,
-                       /*cell_target=*/16, /*seed=*/3);
+  ExpectEngineEquality(plan, /*cache=*/false, /*cell_target=*/16, /*seed=*/2);
 }
 
 TEST(HierarchyIndexTest, TinyCellsStressBorderPaths) {
@@ -121,23 +111,22 @@ TEST(HierarchyIndexTest, TinyCellsStressBorderPaths) {
   // is a border door and almost no query can use a block fast path, so
   // the bounded-Dijkstra fallbacks carry the whole workload.
   const FloorPlan plan = MakeCampus(2, 2, 6, 5);
-  ExpectEngineEquality(plan, /*cache=*/true, /*bucket=*/true,
-                       /*cell_target=*/1, /*seed=*/4);
+  ExpectEngineEquality(plan, /*cache=*/true, /*cell_target=*/1, /*seed=*/4);
 }
 
 TEST(HierarchyIndexTest, RandomizedSeedsSweep) {
   for (uint64_t seed = 100; seed < 104; ++seed) {
     const FloorPlan plan =
         MakeCampus(2 + static_cast<int>(seed % 2), 2, 7, seed);
-    ExpectEngineEquality(plan, /*cache=*/(seed % 2) == 0, /*bucket=*/true,
+    ExpectEngineEquality(plan, /*cache=*/(seed % 2) == 0,
                          /*cell_target=*/8 << (seed % 3), seed);
   }
 }
 
 TEST(HierarchyIndexTest, DoorDistanceMatchesMatrixBitwise) {
   const FloorPlan plan = MakeCampus(2, 2, 8, 7);
-  QueryEngine flat(plan, FlatOptions(true, true));
-  QueryEngine hier(plan, HierOptions(true, true, 16));
+  QueryEngine flat(plan, FlatOptions(true));
+  QueryEngine hier(plan, HierOptions(true, 16));
   const size_t n = plan.door_count();
   for (DoorId s = 0; s < n; ++s) {
     for (DoorId t = 0; t < n; ++t) {
@@ -234,8 +223,7 @@ TEST(HierarchyIndexTest, SingleBuildingPlanStillWorks) {
   // Degenerate clustering: one building fits in one cell, so every query
   // should resolve through TryExact / block scans with no border hops.
   const FloorPlan plan = MakeRunningExamplePlan();
-  ExpectEngineEquality(plan, /*cache=*/true, /*bucket=*/true,
-                       /*cell_target=*/128, /*seed=*/6);
+  ExpectEngineEquality(plan, /*cache=*/true, /*cell_target=*/128, /*seed=*/6);
 }
 
 TEST(HierarchyIndexTest, ParallelBuildIsBitIdentical) {

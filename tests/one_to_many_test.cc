@@ -62,6 +62,71 @@ TEST(OneToManyTest, IntraDistancesMatchPerTargetExactly) {
   }
 }
 
+/// Points where float ties and visibility grazes concentrate: the
+/// bounding-box corners, points on every wall, points 1e-7 and 2e-7 inside
+/// and 1e-7 past every wall, the midpoints of the partition's doors, and
+/// the obstacle vertices.
+std::vector<Point> BoundaryProbePoints(const FloorPlan& plan, PartitionId v) {
+  const Partition& part = plan.partition(v);
+  const Polygon& outer = part.footprint().outer();
+  const Rect& box = outer.BoundingBox();
+  std::vector<Point> points = {box.lo, box.hi, {box.lo.x, box.hi.y},
+                               {box.hi.x, box.lo.y}};
+  const std::vector<Point>& ring = outer.vertices();
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const Point a = ring[i];
+    const Point b = ring[(i + 1) % ring.size()];
+    const double len = Distance(a, b);
+    // Rings are counter-clockwise, so the interior is on the left.
+    const Point inward((a.y - b.y) / len, (b.x - a.x) / len);
+    for (const double t : {0.25, 0.5}) {
+      const Point wall = a + (b - a) * t;
+      points.push_back(wall);
+      points.push_back(wall + inward * 1e-7);
+      points.push_back(wall + inward * 2e-7);
+      points.push_back(wall - inward * 1e-7);
+    }
+  }
+  for (const DoorId d : plan.EnterDoors(v)) {
+    points.push_back(plan.door(d).Midpoint());
+  }
+  for (const DoorId d : plan.LeaveDoors(v)) {
+    points.push_back(plan.door(d).Midpoint());
+  }
+  for (const Polygon& obstacle : part.footprint().obstacles()) {
+    for (const Point& corner : obstacle.vertices()) points.push_back(corner);
+  }
+  return points;
+}
+
+// The batched solver must equal the per-pair solve bit for bit on the
+// boundary-heavy points too, where an exact fast path would first break.
+TEST(OneToManyTest, IntraDistancesMatchPerTargetOnBoundaries) {
+  size_t pairs = 0;
+  for (const uint64_t seed : {307, 311, 313}) {
+    BuildingConfig config = SmallBuilding(seed, 0.5);
+    config.floors = 2;
+    const FloorPlan plan = GenerateBuilding(config);
+    GeodesicScratch scratch;
+    for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+      const Partition& part = plan.partition(v);
+      const std::vector<Point> points = BoundaryProbePoints(plan, v);
+      std::vector<double> batched(points.size());
+      for (size_t s = 0; s < points.size(); ++s) {
+        part.IntraDistancesToMany(points[s], points, &scratch,
+                                  batched.data());
+        for (size_t t = 0; t < points.size(); ++t) {
+          ASSERT_EQ(batched[t], part.IntraDistance(points[s], points[t]))
+              << "seed " << seed << " partition " << v << " source "
+              << points[s] << " target " << points[t];
+        }
+        pairs += points.size();
+      }
+    }
+  }
+  EXPECT_GT(pairs, 100000u);
+}
+
 TEST(OneToManyTest, DistVManyMatchesPerDoorExactly) {
   for (const double obstacles : {0.0, 1.0}) {
     const FloorPlan plan =

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "core/query/batch_executor.h"
 #include "core/query/query_cache.h"
 #include "core/query/query_engine.h"
+#include "core/query/reference_impls.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
@@ -464,6 +467,50 @@ TEST(QueryCacheEntryPointTest, NonFiniteInputsAnswerLikeCacheOff) {
     EXPECT_TRUE(engine.Range(inside, -1.0).empty());
     EXPECT_EQ(cache ? cache->ResultStats().insertions : 0, inserted)
         << "a rejected radius must not cache a result";
+  }
+}
+
+// kNN's k is a count with two specified edges: k = 0 answers empty, and
+// any k at or above the population answers every object, nearest first.
+// With the cache on, a fresh solve collects k + spares for later repair;
+// that sum once wrapped for k near SIZE_MAX, so Nearest(q, SIZE_MAX)
+// answered 3 neighbours instead of every object and Nearest(q,
+// SIZE_MAX - 3) aborted on the collector's k >= 1 check.
+TEST(QueryCacheEntryPointTest, KnnCountEdgesAnswerLikeCacheOff) {
+  BuildingConfig config = SmallBuilding(3, 0.2);
+  config.floors = 2;
+  const FloorPlan plan = GenerateBuilding(config);
+  constexpr size_t kObjects = 50;
+  const size_t ks[] = {0, kObjects, kObjects + 1, SIZE_MAX - 3, SIZE_MAX};
+  QueryEngine on(plan, CacheOptions(true));
+  QueryEngine off(plan, CacheOptions(false));
+  Rng rng(11);
+  const auto objects = GenerateObjects(plan, kObjects, &rng);
+  PopulateStore(objects, &on.index().objects());
+  PopulateStore(objects, &off.index().objects());
+  const auto queries = GenerateQueryPositions(plan, 6, &rng);
+
+  std::vector<QueryRequest> requests;
+  std::vector<std::vector<Neighbor>> expected;
+  for (const Point& q : queries) {
+    for (const size_t k : ks) {
+      SCOPED_TRACE(testing::Message() << "q " << q << " k " << k);
+      const std::vector<Neighbor> expect =
+          reference::KnnQuery(off.index(), q, k);
+      ASSERT_EQ(expect.size(), std::min(k, kObjects));
+      EXPECT_EQ(off.Nearest(q, k), expect);
+      EXPECT_EQ(on.Nearest(q, k), expect);  // fresh solve
+      EXPECT_EQ(on.Nearest(q, k), expect);  // cache hit
+      requests.push_back(QueryRequest::Knn(q, k));
+      expected.push_back(expect);
+    }
+  }
+  for (QueryEngine* engine : {&on, &off}) {
+    const auto results = engine->RunBatch(requests);
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].neighbors, expected[i]) << "request " << i;
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "core/index/index_framework.h"
 #include "core/query/batch_executor.h"
+#include "core/query/knn_query.h"
 #include "core/query/workload_replay.h"
 #include "indoor/sample_plans.h"
 #include "util/metrics.h"
@@ -339,6 +342,47 @@ TEST(ReplayTest, CaptureReplayRoundTripIsBitwiseIdentical) {
     captured_results += r.result_count;
   }
   EXPECT_EQ(captured_results, original_results);
+}
+
+// A record keeps k in 32 bits. Truncation replayed a captured
+// k = 2^32 + 5 as k = 5; saturating at UINT32_MAX keeps "every object".
+TEST(ReplayTest, HugeKnnCountReplaysAsEveryObject) {
+  RunningExampleIds ids;
+  const FloorPlan plan = MakeRunningExamplePlan(&ids);
+  IndexFramework index(plan);
+  const Point spots[] = {{6, 2},   {6.2, 2},   {5.8, 2.2}, {2, 2},
+                         {2.2, 2}, {1.8, 2.2}, {21, 1},    {21.2, 1}};
+  const PartitionId hosts[] = {ids.v12, ids.v12, ids.v12, ids.v11,
+                               ids.v11, ids.v11, ids.v20, ids.v20};
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(index.objects().Insert(hosts[i], spots[i]).ok());
+  }
+  const size_t huge_k = (size_t{1} << 32) + 5;
+  const std::vector<QueryRequest> requests = {
+      QueryRequest::Knn(Point{1, 1}, huge_k),
+      QueryRequest::Knn(Point{1, 1.5}, 3)};
+
+  QueryLogOptions options;
+  options.path = TempPath("huge_k.qlog");
+  ASSERT_TRUE(QueryLog::Global().Enable(options).ok());
+  BatchExecutor executor(index, /*threads=*/1);
+  const std::vector<QueryResult> original = executor.Run(requests);
+  const std::vector<Neighbor> direct = KnnQuery(index, Point{1.5, 1}, huge_k);
+  QueryLog::Global().Disable();
+  ASSERT_EQ(original[0].neighbors.size(), 8u);
+  ASSERT_EQ(direct.size(), 8u);
+
+  const auto capture = ReadQueryLogCapture(options.path);
+  ASSERT_TRUE(capture.ok());
+  // Per-thread buffers flush in any order, so compare the k values as a
+  // sorted list.
+  std::vector<uint32_t> logged_k;
+  for (const QueryLogRecord& r : capture->records) logged_k.push_back(r.k);
+  std::sort(logged_k.begin(), logged_k.end());
+  EXPECT_EQ(logged_k, (std::vector<uint32_t>{3, UINT32_MAX, UINT32_MAX}));
+  const auto report = ReplayWorkload(index, *capture, ReplayOptions{});
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->AllMatched()) << "mismatches: " << report->mismatched;
 }
 
 TEST(ReplayTest, MismatchedIndexIsReported) {

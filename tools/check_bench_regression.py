@@ -43,17 +43,17 @@ The floor comes from --min-ratio, or from the committed baseline via
 --baseline FILE --ratio NAME (the baseline's "throughput_ratios" map), so
 the floors live next to the other bench floors instead of being hardcoded
 in workflow YAML. The workload-identity check deliberately ignores
-move_rate, cache, queue, and landmarks: those are exactly the knobs a
-pairing varies.
+move_rate, cache, and landmarks: those are exactly the knobs a pairing
+varies.
 
---hotpath-ratio mode gates the bucket-queue + landmark speedup: it
-compares the optimized-path ns/query of one workload across two
-bench_pt2pt_hotpath runs on the same host (first JSON = the configuration
-that must be faster, e.g. the default bucket+landmarks run; second = the
-`--queue heap --landmarks off` run), and fails when
-slow_ns / fast_ns drops below the floor (baseline "hotpath_ratios" map).
-Both runs verify exact result equality against the reference in-process,
-so the ratio compares bitwise-identical answers.
+--hotpath-ratio mode gates the ALT landmark speedup: it compares the
+optimized-path ns/query of one workload across two bench_pt2pt_hotpath
+runs on the same host (first JSON = the configuration that must be
+faster, e.g. the default landmark-pruned run; second = the
+`--landmarks off` run), and fails when slow_ns / fast_ns drops below the
+floor (baseline "hotpath_ratios" map; no tolerance is applied). Both runs
+verify exact result equality against the reference in-process, so the
+ratio compares bitwise-identical answers.
 
 --cold-start mode gates bench_cold_start (the INDOORIX container payoff):
 for every engine mode in the run's "modes" map it requires (a) the
@@ -197,8 +197,8 @@ def hotpath_ratio(argv: list) -> int:
         fast = json.load(f)
     with open(paths[1]) as f:
         slow = json.load(f)
-    # Same building + workload on both sides; queue/landmarks are exactly
-    # the knobs the pairing varies, so they are deliberately not compared.
+    # Same building + workload on both sides; landmarks is exactly the
+    # knob the pairing varies, so it is deliberately not compared.
     for key in ("smoke", "floors", "seed"):
         if fast.get(key) != slow.get(key):
             print(

@@ -22,6 +22,7 @@
 // default); an OFF build reports an empty registry.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -327,10 +328,18 @@ int CmdDistance(const Args& args, bool with_path) {
 
 int CmdQuery(const Args& args, bool knn) {
   if (args.positional.size() < 4) return Usage();
+  // kNN's K is a count: a negative, fractional, NaN or out-of-range K is a
+  // usage error, not a float-to-integer conversion.
+  const std::string& param = args.positional[3];
+  size_t k = 0;
+  if (knn) {
+    const char* end = param.data() + param.size();
+    const auto [ptr, ec] = std::from_chars(param.data(), end, k);
+    if (ec != std::errc() || ptr != end) return Usage();
+  }
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
   const Point q(std::stod(args.positional[1]), std::stod(args.positional[2]));
-  const double param = std::stod(args.positional[3]);
   QueryEngine engine(std::move(plan).value());
   const size_t objects = static_cast<size_t>(args.Num("objects", 1000));
   Rng rng(static_cast<uint64_t>(args.Num("seed", 7)));
@@ -340,7 +349,7 @@ int CmdQuery(const Args& args, bool knn) {
     std::vector<Neighbor> result;
     {
       TraceScope trace(args.Has("trace"));
-      result = engine.Nearest(q, static_cast<size_t>(param));
+      result = engine.Nearest(q, k);
     }
     std::printf("%zu nearest of %zu objects:\n", result.size(), objects);
     for (const Neighbor& nb : result) {
@@ -349,13 +358,14 @@ int CmdQuery(const Args& args, bool knn) {
                   engine.plan().partition(obj.partition).name().c_str());
     }
   } else {
+    const double radius = std::stod(param);
     std::vector<ObjectId> result;
     {
       TraceScope trace(args.Has("trace"));
-      result = engine.Range(q, param);
+      result = engine.Range(q, radius);
     }
     std::printf("%zu of %zu objects within %.1f m\n", result.size(),
-                objects, param);
+                objects, radius);
   }
   return 0;
 }

@@ -238,10 +238,10 @@ int main(int argc, char** argv) {
     }
     WorkloadResult r;
     r.name = "pt2pt_basic";
-    r.old_ns_per_query = NsPerQuery(1, basic_pair_count, [&](size_t i) {
+    r.old_ns_per_query = NsPerQuery(reps, basic_pair_count, [&](size_t i) {
       reference::Pt2PtDistanceBasic(ctx, pairs[i].first, pairs[i].second);
     });
-    r.new_ns_per_query = NsPerQuery(1, basic_pair_count, [&](size_t i) {
+    r.new_ns_per_query = NsPerQuery(reps, basic_pair_count, [&](size_t i) {
       Pt2PtDistanceBasic(hinted[i], pairs[i].first, pairs[i].second,
                          &scratch);
     });

@@ -33,7 +33,7 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
   const Partition& target_part = plan.partition(vt);
   double best = kInfDistance;
   if (vs == vt) {
-    best = source_part.IntraDistance(ps, pt, &scratch->geo);
+    source_part.IntraDistancesToMany(ps, {&pt, 1}, &scratch->geo, &best);
   }
   // Entry/exit legs: the exact code of Pt2PtDistanceMatrix, so every leg
   // value is bit-identical to the flat path's (with or without a cache).
@@ -44,10 +44,11 @@ double Pt2PtDistanceHierarchy(const FloorPlan& plan, const DistanceGraph& graph,
     cache->FieldLegs(FieldKind::kEnterFrom, vt, pt, dest_doors,
                      &scratch->geo, dest_leg.data());
   } else {
-    for (size_t j = 0; j < dest_doors.size(); ++j) {
-      dest_leg[j] = target_part.IntraDistance(
-          plan.door(dest_doors[j]).Midpoint(), pt, &scratch->geo);
-    }
+    auto& mids = scratch->geo.points;
+    mids.clear();
+    for (DoorId dt : dest_doors) mids.push_back(plan.door(dt).Midpoint());
+    target_part.IntraDistancesFromMany(mids, pt, &scratch->geo,
+                                       dest_leg.data());
   }
   const auto& src_doors = plan.LeaveDoors(vs);
   auto& src_leg = scratch->src_leg;

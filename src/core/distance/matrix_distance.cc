@@ -25,10 +25,10 @@ double Pt2PtDistanceMatrix(const FloorPlan& plan,
   const Partition& target_part = plan.partition(vt);
   double best = kInfDistance;
   if (vs == vt) {
-    best = source_part.IntraDistance(ps, pt, &scratch->geo);
+    source_part.IntraDistancesToMany(ps, {&pt, 1}, &scratch->geo, &best);
   }
-  // Destination legs keep the historical door->pt orientation (one solve
-  // each, reusing the scratch buffers); the source legs below share a single
+  // Destination legs keep the historical door->pt orientation (one kernel
+  // call rooted at each door midpoint); the source legs below share a single
   // batched solve rooted at ps. With a cache, both fields read through the
   // cross-query source-field cache (FieldKind::kEnterFrom preserves the
   // door->pt orientation so values stay bit-identical).
@@ -39,10 +39,11 @@ double Pt2PtDistanceMatrix(const FloorPlan& plan,
     cache->FieldLegs(FieldKind::kEnterFrom, vt, pt, dest_doors,
                      &scratch->geo, dest_leg.data());
   } else {
-    for (size_t j = 0; j < dest_doors.size(); ++j) {
-      dest_leg[j] = target_part.IntraDistance(
-          plan.door(dest_doors[j]).Midpoint(), pt, &scratch->geo);
-    }
+    auto& mids = scratch->geo.points;
+    mids.clear();
+    for (DoorId dt : dest_doors) mids.push_back(plan.door(dt).Midpoint());
+    target_part.IntraDistancesFromMany(mids, pt, &scratch->geo,
+                                       dest_leg.data());
   }
   const auto& src_doors = plan.LeaveDoors(vs);
   auto& src_leg = scratch->src_leg;

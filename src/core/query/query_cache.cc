@@ -25,6 +25,30 @@ uint64_t Mix2(uint64_t a, uint64_t b) {
   return indoor::internal::MixHash(a ^ (b * 0x9e3779b97f4a7c15ull));
 }
 
+/// The uncached evaluation of one field over `doors`, run by both the
+/// cache's miss path and the null-cache fallback, so cached and uncached
+/// legs are bit-identical.
+void SolveField(const PartitionLocator& locator, FieldKind kind,
+                PartitionId v, const Point& p, std::span<const DoorId> doors,
+                GeodesicScratch* scratch, double* out) {
+  switch (kind) {
+    case FieldKind::kLeaveFrom:
+    case FieldKind::kEnterTo:
+      locator.DistVMany(v, p, doors, scratch, out);
+      break;
+    case FieldKind::kEnterFrom: {
+      // Matrix-path orientation: each leg is rooted at its door midpoint.
+      if (scratch == nullptr) scratch = &TlsGeodesicScratch();
+      const FloorPlan& plan = locator.plan();
+      auto& mids = scratch->points;
+      mids.clear();
+      for (DoorId d : doors) mids.push_back(plan.door(d).Midpoint());
+      plan.partition(v).IntraDistancesFromMany(mids, p, scratch, out);
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 size_t QueryCache::FieldKeyHash::operator()(const FieldKey& k) const {
@@ -95,28 +119,6 @@ const std::vector<DoorId>& QueryCache::CanonicalDoors(FieldKind kind,
                                        : plan_->EnterDoors(v);
 }
 
-void QueryCache::SolveField(FieldKind kind, PartitionId v, const Point& p,
-                            std::span<const DoorId> canonical,
-                            GeodesicScratch* scratch, double* out) const {
-  switch (kind) {
-    case FieldKind::kLeaveFrom:
-    case FieldKind::kEnterTo:
-      locator_->DistVMany(v, p, canonical, scratch, out);
-      break;
-    case FieldKind::kEnterFrom: {
-      // Matrix-path orientation: one geodesic solve per door, rooted at
-      // the door midpoint (bit-identical to the historical loop in
-      // matrix_distance.cc).
-      const Partition& part = plan_->partition(v);
-      for (size_t j = 0; j < canonical.size(); ++j) {
-        out[j] = part.IntraDistance(plan_->door(canonical[j]).Midpoint(), p,
-                                    scratch);
-      }
-      break;
-    }
-  }
-}
-
 void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
                            std::span<const DoorId> doors,
                            GeodesicScratch* scratch, double* out) const {
@@ -134,7 +136,7 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
   qlog::AddCacheLookup(hit);
   if (!hit) {
     buffer.resize(canonical.size());
-    SolveField(kind, v, p, canonical, scratch, buffer.data());
+    SolveField(*locator_, kind, v, p, canonical, scratch, buffer.data());
     field_cache_.Insert(
         key, FieldEntry{p, buffer},
         sizeof(FieldEntry) + canonical.size() * sizeof(double) + 96);
@@ -375,21 +377,7 @@ void CachedFieldLegs(const QueryCache* cache, const PartitionLocator& locator,
     cache->FieldLegs(kind, v, p, doors, scratch, out);
     return;
   }
-  switch (kind) {
-    case FieldKind::kLeaveFrom:
-    case FieldKind::kEnterTo:
-      locator.DistVMany(v, p, doors, scratch, out);
-      break;
-    case FieldKind::kEnterFrom: {
-      const FloorPlan& plan = locator.plan();
-      const Partition& part = plan.partition(v);
-      for (size_t j = 0; j < doors.size(); ++j) {
-        out[j] =
-            part.IntraDistance(plan.door(doors[j]).Midpoint(), p, scratch);
-      }
-      break;
-    }
-  }
+  SolveField(locator, kind, v, p, doors, scratch, out);
 }
 
 }  // namespace indoor

@@ -79,7 +79,8 @@ enum class FieldKind : uint8_t {
   /// Also one DistVMany solve rooted at p.
   kEnterTo = 1,
   /// Matrix-path exit legs over EnterDoors(v) in the historical door->p
-  /// orientation: one IntraDistance(door midpoint, p) solve per door.
+  /// orientation: IntraDistance(door midpoint, p) per door, through one
+  /// Partition::IntraDistancesFromMany call.
   kEnterFrom = 2,
 };
 
@@ -285,7 +286,7 @@ class QueryCache {
   };
   struct ResultEntry {
     Point p;          // exact query position
-    uint64_t param;   // exact radius bits / k
+    uint64_t param = 0;  // exact radius bits / k
     std::vector<EpochDep> deps;
     std::vector<ResultGate> gates;    // repair budgets (see ResultGate)
     std::vector<ObjectId> ids;        // range payload
@@ -295,9 +296,6 @@ class QueryCache {
   int64_t QuantizeCoord(double x) const;
   const std::vector<DoorId>& CanonicalDoors(FieldKind kind,
                                             PartitionId v) const;
-  void SolveField(FieldKind kind, PartitionId v, const Point& p,
-                  std::span<const DoorId> canonical, GeodesicScratch* scratch,
-                  double* out) const;
 
   ResultKey MakeResultKey(uint8_t kind, const Point& p, uint64_t param) const;
   /// True when every recorded dependency epoch still matches the store.

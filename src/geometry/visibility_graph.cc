@@ -14,6 +14,60 @@ bool StrictlyInsideAnyObstacle(const std::vector<Polygon>& obstacles,
   return false;
 }
 
+/// Largest coordinate magnitude of a fast-path rectangle (2^19 m).
+constexpr double kFastBoxLimit = 524288.0;
+
+/// Closed-box membership by exact comparisons; NaN and infinities fail.
+bool InClosedBox(const Rect& box, const Point& p) {
+  return p.x >= box.lo.x && p.x <= box.hi.x && p.y >= box.lo.y &&
+         p.y <= box.hi.y;
+}
+
+/// The rectangle fast path's predicate: the ring is the boundary of its own
+/// bounding box, counter-clockwise from box.lo, and the box lies within
+/// [-2^19, 2^19]^2 (so each side is at most 2^20 m). For such a ring the
+/// wall half of Visible(a, b) (no proper crossing of an outer edge, and
+/// every probe point Lerp(a, b, t) inside outer) holds whenever a and b lie
+/// in the closed box, compared exactly against BoundingBox():
+///  - No wall is properly crossed. Each wall runs along its side of the box
+///    with the box on its left. In the wall's Orient(), one product is
+///    exactly zero (its zero edge component times a finite difference);
+///    the other is the wall's length times a coordinate difference toward
+///    the box, which is >= 0 for a point in the box. So both endpoints get
+///    Sign >= 0, while SegmentsProperlyIntersect needs opposite signs. An
+///    FMA contraction rounds the same one product, once.
+///  - The probe points stay in the closed box. For t <= 0.75,
+///    a + t * fl(b - a) lies between a and b even with every factor rounded
+///    up by (1 + 2^-53), and rounding to nearest cannot leave an interval
+///    whose ends are doubles.
+///  - Polygon::Contains accepts every point of the closed box. Interior,
+///    bottom and left points pass its ray cast: the vertical walls' x_at is
+///    exact. Points on the top or right wall pass OnBoundary: there
+///    DistancePointToSegment's projection misses the point by at most
+///    5u * side + u * |coordinate| (u = 2^-53), about 6.4e-10 under the
+///    magnitude bound, which is inside kGeomEps = 1e-9.
+/// NaN, infinite and out-of-box endpoints fail the comparisons and take the
+/// full Visible().
+bool IsFastBoxRing(const Polygon& outer) {
+  const Rect& box = outer.BoundingBox();
+  if (!(box.lo.x >= -kFastBoxLimit && box.lo.y >= -kFastBoxLimit &&
+        box.hi.x <= kFastBoxLimit && box.hi.y <= kFastBoxLimit &&
+        box.lo.x < box.hi.x && box.lo.y < box.hi.y)) {
+    return false;
+  }
+  const std::vector<Point>& ring = outer.vertices();
+  if (ring.size() != 4) return false;
+  const Point corners[4] = {box.lo, Point(box.hi.x, box.lo.y), box.hi,
+                            Point(box.lo.x, box.hi.y)};
+  const size_t start = static_cast<size_t>(
+      std::find(ring.begin(), ring.end(), box.lo) - ring.begin());
+  if (start == ring.size()) return false;
+  for (size_t i = 0; i < 4; ++i) {
+    if (ring[(start + i) % 4] != corners[i]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 GeodesicScratch& TlsGeodesicScratch() {
@@ -57,6 +111,14 @@ Result<ObstructedRegion> ObstructedRegion::Create(
   region.outer_ = std::move(outer);
   region.obstacles_ = std::move(obstacles);
   region.BuildStaticGraph();
+  // The static nodes are seeding targets and scan sources, so the fast path
+  // also needs them in the box (Create admits obstacle vertices up to
+  // kGeomEps outside the footprint).
+  const Rect& box = region.outer_.BoundingBox();
+  region.fast_box_ =
+      IsFastBoxRing(region.outer_) &&
+      std::all_of(region.nodes_.begin(), region.nodes_.end(),
+                  [&](const Point& node) { return InClosedBox(box, node); });
   return region;
 }
 
@@ -71,7 +133,8 @@ bool ObstructedRegion::Contains(const Point& p) const {
   return !StrictlyInsideAnyObstacle(obstacles_, p);
 }
 
-bool ObstructedRegion::Visible(const Point& a, const Point& b) const {
+bool ObstructedRegion::ObstaclesClear(const Point& a, const Point& b) const {
+  if (obstacles_.empty()) return true;
   const Segment seg(a, b);
   // Blocked by a proper crossing of any obstacle edge. Grazing along an
   // obstacle edge (collinear overlap) is allowed only when free space
@@ -102,16 +165,28 @@ bool ObstructedRegion::Visible(const Point& a, const Point& b) const {
       }
     }
   }
+  // Proper crossings absorbed; reject segments whose interior dips into an
+  // obstacle via its vertices (no proper crossing).
+  for (double t : {0.25, 0.5, 0.75}) {
+    if (StrictlyInsideAnyObstacle(obstacles_, Lerp(a, b, t))) return false;
+  }
+  return true;
+}
+
+bool ObstructedRegion::InFastBox(const Point& p) const {
+  return fast_box_ && InClosedBox(outer_.BoundingBox(), p);
+}
+
+bool ObstructedRegion::Visible(const Point& a, const Point& b) const {
+  if (!ObstaclesClear(a, b)) return false;
   // Blocked if it leaves the outer footprint.
+  const Segment seg(a, b);
   for (size_t i = 0; i < outer_.size(); ++i) {
     if (SegmentsProperlyIntersect(seg, outer_.Edge(i))) return false;
   }
-  // Proper crossings absorbed; reject segments whose interior dips into an
-  // obstacle or out of the footprint via vertices (no proper crossing).
+  // Or if its interior leaves the footprint via vertices.
   for (double t : {0.25, 0.5, 0.75}) {
-    const Point m = Lerp(a, b, t);
-    if (!outer_.Contains(m)) return false;
-    if (StrictlyInsideAnyObstacle(obstacles_, m)) return false;
+    if (!outer_.Contains(Lerp(a, b, t))) return false;
   }
   return true;
 }
@@ -253,8 +328,9 @@ void ObstructedRegion::EnsureSourceSolve(const Point& p,
   heap.clear();
   // Seed every static node visible from p, exactly as Solve does when the
   // source settles first.
+  const bool p_in_box = InFastBox(p);
   for (int v = 0; v < n; ++v) {
-    if (Visible(p, nodes_[v])) {
+    if (VisibleFrom(p, p_in_box, nodes_[v], fast_box_)) {
       const double d = indoor::Distance(p, nodes_[v]);
       if (d < dist[v]) {
         dist[v] = d;
@@ -288,8 +364,9 @@ void ObstructedRegion::DistancesToMany(const Point& p,
   if (scratch == nullptr) scratch = &TlsGeodesicScratch();
   std::vector<size_t>& pending = scratch->pending;
   pending.clear();
+  const bool p_in_box = InFastBox(p);
   for (size_t i = 0; i < targets.size(); ++i) {
-    if (Visible(p, targets[i])) {
+    if (VisibleFrom(p, p_in_box, targets[i], InFastBox(targets[i]))) {
       out[i] = indoor::Distance(p, targets[i]);
     } else {
       out[i] = kInfDistance;
@@ -308,11 +385,12 @@ void ObstructedRegion::DistancesToMany(const Point& p,
   const int n = static_cast<int>(nodes_.size());
   for (size_t idx : pending) {
     const Point& t = targets[idx];
+    const bool t_in_box = InFastBox(t);
     double best = kInfDistance;
     for (int u = 0; u < n; ++u) {
       if (!scratch->settled[u]) continue;
       if (scratch->dist[u] >= best) continue;  // |u, t| >= 0 cannot improve
-      if (!Visible(nodes_[u], t)) continue;
+      if (!VisibleFrom(nodes_[u], fast_box_, t, t_in_box)) continue;
       const double cand = scratch->dist[u] + indoor::Distance(nodes_[u], t);
       if (cand < best) best = cand;
     }

@@ -14,6 +14,15 @@
 // heap allocations. DistancesToMany settles every target of one source in a
 // single Dijkstra pass — the one-to-many primitive that replaces the
 // per-door ObstructedRegion::Distance loops of Algorithm 2/3/4.
+//
+// DistancesToMany also has an exact rectangle fast path. When the footprint
+// is an axis-aligned rectangle (every footprint the generators emit), the
+// wall half of Visible() cannot fail for two points of its closed bounding
+// box, so the batched kernel runs only the obstacle half there: no test at
+// all in an obstacle-free room. It applies to the direct pass over the
+// targets, the source seeding and the blocked-target scan; the proof is at
+// the predicate in the .cc. Distance(), Solve() and Visible() keep the full
+// test: the reference implementations run on them.
 
 #ifndef INDOOR_GEOMETRY_VISIBILITY_GRAPH_H_
 #define INDOOR_GEOMETRY_VISIBILITY_GRAPH_H_
@@ -126,6 +135,22 @@ class ObstructedRegion {
  private:
   ObstructedRegion() = default;
 
+  /// The obstacle half of Visible(): no obstacle edge is properly crossed
+  /// or grazed without free space beside it, and no probe point of a-b
+  /// lies strictly inside an obstacle.
+  bool ObstaclesClear(const Point& a, const Point& b) const;
+
+  /// True if `p` lies in the closed bounding box of a fast-path rectangle
+  /// (exact comparisons; NaN and infinities fail).
+  bool InFastBox(const Point& p) const;
+
+  /// Visible(a, b), running only the obstacle half when both endpoints lie
+  /// in the fast-path box (the same verdict, see the predicate's proof).
+  bool VisibleFrom(const Point& a, bool a_in_box, const Point& b,
+                   bool b_in_box) const {
+    return a_in_box && b_in_box ? ObstaclesClear(a, b) : Visible(a, b);
+  }
+
   /// One CSR slot: static node `to` visible from the row's node at
   /// Euclidean distance `weight`.
   struct VisEdge {
@@ -155,6 +180,9 @@ class ObstructedRegion {
   // adj_edges_[adj_offsets_[i] .. adj_offsets_[i+1]), sorted by node index.
   std::vector<int> adj_offsets_;
   std::vector<VisEdge> adj_edges_;
+  // The footprint is a fast-path rectangle and every static node lies in
+  // its closed box (set once, in Create).
+  bool fast_box_ = false;
 };
 
 /// The calling thread's fallback GeodesicScratch (used when a solver is

@@ -79,6 +79,18 @@ class Partition {
     }
   }
 
+  /// Many-to-one IntraDistance: out[i] is EXACTLY the value
+  /// IntraDistance(sources[i], t) would return. Each source keeps the
+  /// sources[i] -> t orientation (a one-target DistancesToMany each), so
+  /// only the kernel's rectangle fast path is shared, not the solve.
+  void IntraDistancesFromMany(std::span<const Point> sources, const Point& t,
+                              GeodesicScratch* scratch, double* out) const {
+    for (size_t i = 0; i < sources.size(); ++i) {
+      footprint_.DistancesToMany(sources[i], {&t, 1}, scratch, out + i);
+      if (out[i] != kInfDistance) out[i] *= metric_scale_;
+    }
+  }
+
   /// Longest intra-partition walking distance from `p` to any point of the
   /// partition; backs fdv (paper §III-C1 item 4).
   double MaxDistanceFrom(const Point& p) const {

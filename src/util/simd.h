@@ -82,7 +82,12 @@ inline size_t FilterImprovements(const double* cand, const uint32_t* targets,
   for (; i + 4 <= n; i += 4) {
     const __m128i idx =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(targets + i));
-    const __m256d d = _mm256_i32gather_pd(dist, idx, sizeof(double));
+    // The masked gather with an all-ones mask loads the same four lanes;
+    // the unmasked intrinsic leaves its source operand undefined, which
+    // GCC reports as "may be used uninitialized".
+    const __m256d d = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), dist, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), sizeof(double));
     const __m256d c = _mm256_loadu_pd(cand + i);
     int m = _mm256_movemask_pd(_mm256_cmp_pd(c, d, _CMP_LT_OQ));
     while (m != 0) {

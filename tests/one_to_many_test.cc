@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "core/distance/pt2pt_distance.h"
@@ -63,43 +66,93 @@ TEST(OneToManyTest, IntraDistancesMatchPerTargetExactly) {
 }
 
 /// Points where float ties and visibility grazes concentrate: the
-/// bounding-box corners, points on every wall, points 1e-7 and 2e-7 inside
-/// and 1e-7 past every wall, the midpoints of the partition's doors, and
-/// the obstacle vertices.
-std::vector<Point> BoundaryProbePoints(const FloorPlan& plan, PartitionId v) {
-  const Partition& part = plan.partition(v);
-  const Polygon& outer = part.footprint().outer();
-  const Rect& box = outer.BoundingBox();
+/// bounding-box corners; on every wall, points at 1/2 and at a random
+/// fraction, exactly on the wall (an axis-parallel wall keeps its
+/// coordinate), 1 ulp to either side of it, and 1e-12, 1e-9, 1e-7 and 2e-7
+/// inside and outside; and each obstacle edge's start, midpoint and a
+/// random point on it.
+std::vector<Point> BoundaryProbePoints(const ObstructedRegion& region,
+                                       Rng* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Rect& box = region.outer().BoundingBox();
   std::vector<Point> points = {box.lo, box.hi, {box.lo.x, box.hi.y},
                                {box.hi.x, box.lo.y}};
-  const std::vector<Point>& ring = outer.vertices();
+  const std::vector<Point>& ring = region.outer().vertices();
   for (size_t i = 0; i < ring.size(); ++i) {
     const Point a = ring[i];
     const Point b = ring[(i + 1) % ring.size()];
     const double len = Distance(a, b);
     // Rings are counter-clockwise, so the interior is on the left.
     const Point inward((a.y - b.y) / len, (b.x - a.x) / len);
-    for (const double t : {0.25, 0.5}) {
-      const Point wall = a + (b - a) * t;
+    for (const double t : {0.5, rng->NextDouble()}) {
+      Point wall = Lerp(a, b, t);
+      if (a.y == b.y) wall.y = a.y;
+      if (a.x == b.x) wall.x = a.x;
       points.push_back(wall);
-      points.push_back(wall + inward * 1e-7);
-      points.push_back(wall + inward * 2e-7);
-      points.push_back(wall - inward * 1e-7);
+      if (a.y == b.y) {
+        points.push_back({wall.x, std::nextafter(wall.y, kInf)});
+        points.push_back({wall.x, std::nextafter(wall.y, -kInf)});
+      } else if (a.x == b.x) {
+        points.push_back({std::nextafter(wall.x, kInf), wall.y});
+        points.push_back({std::nextafter(wall.x, -kInf), wall.y});
+      }
+      for (const double offset : {1e-12, 1e-9, 1e-7, 2e-7}) {
+        points.push_back(wall + inward * offset);
+        points.push_back(wall - inward * offset);
+      }
     }
   }
-  for (const DoorId d : plan.EnterDoors(v)) {
-    points.push_back(plan.door(d).Midpoint());
-  }
-  for (const DoorId d : plan.LeaveDoors(v)) {
-    points.push_back(plan.door(d).Midpoint());
-  }
-  for (const Polygon& obstacle : part.footprint().obstacles()) {
-    for (const Point& corner : obstacle.vertices()) points.push_back(corner);
+  for (const Polygon& obstacle : region.obstacles()) {
+    for (size_t i = 0; i < obstacle.size(); ++i) {
+      const Segment edge = obstacle.Edge(i);
+      points.push_back(edge.a);
+      points.push_back(edge.Midpoint());
+      points.push_back(Lerp(edge.a, edge.b, rng->NextDouble()));
+    }
   }
   return points;
 }
 
-// The batched solver must equal the per-pair solve bit for bit on the
+/// Bit-for-bit equality: tells 0.0 from -0.0, and NaN equals itself.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Checks IntraDistancesToMany (each point as the source) and
+/// IntraDistancesFromMany (each point as the target) bit for bit against
+/// per-pair IntraDistance over all ordered pairs of `points`, and adds the
+/// number of pairs checked to `*pairs`.
+void ExpectBatchedMatchPerPair(const Partition& part,
+                               const std::vector<Point>& points,
+                               GeodesicScratch* scratch, size_t* pairs) {
+  const size_t n = points.size();
+  std::vector<double> expect(n * n);
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      expect[s * n + t] = part.IntraDistance(points[s], points[t]);
+    }
+  }
+  std::vector<double> batched(n);
+  for (size_t s = 0; s < n; ++s) {
+    part.IntraDistancesToMany(points[s], points, scratch, batched.data());
+    for (size_t t = 0; t < n; ++t) {
+      ASSERT_TRUE(SameBits(batched[t], expect[s * n + t]))
+          << "to-many: source " << points[s] << " target " << points[t]
+          << ": " << batched[t] << " vs " << expect[s * n + t];
+    }
+  }
+  for (size_t t = 0; t < n; ++t) {
+    part.IntraDistancesFromMany(points, points[t], scratch, batched.data());
+    for (size_t s = 0; s < n; ++s) {
+      ASSERT_TRUE(SameBits(batched[s], expect[s * n + t]))
+          << "from-many: source " << points[s] << " target " << points[t]
+          << ": " << batched[s] << " vs " << expect[s * n + t];
+    }
+  }
+  *pairs += 2 * n * n;
+}
+
+// The batched solvers must equal the per-pair solve bit for bit on the
 // boundary-heavy points too, where an exact fast path would first break.
 TEST(OneToManyTest, IntraDistancesMatchPerTargetOnBoundaries) {
   size_t pairs = 0;
@@ -107,21 +160,70 @@ TEST(OneToManyTest, IntraDistancesMatchPerTargetOnBoundaries) {
     BuildingConfig config = SmallBuilding(seed, 0.5);
     config.floors = 2;
     const FloorPlan plan = GenerateBuilding(config);
+    Rng rng(seed);
     GeodesicScratch scratch;
     for (PartitionId v = 0; v < plan.partition_count(); ++v) {
       const Partition& part = plan.partition(v);
-      const std::vector<Point> points = BoundaryProbePoints(plan, v);
-      std::vector<double> batched(points.size());
-      for (size_t s = 0; s < points.size(); ++s) {
-        part.IntraDistancesToMany(points[s], points, &scratch,
-                                  batched.data());
-        for (size_t t = 0; t < points.size(); ++t) {
-          ASSERT_EQ(batched[t], part.IntraDistance(points[s], points[t]))
-              << "seed " << seed << " partition " << v << " source "
-              << points[s] << " target " << points[t];
-        }
-        pairs += points.size();
+      std::vector<Point> points = BoundaryProbePoints(part.footprint(), &rng);
+      for (const DoorId d : plan.EnterDoors(v)) {
+        points.push_back(plan.door(d).Midpoint());
       }
+      for (const DoorId d : plan.LeaveDoors(v)) {
+        points.push_back(plan.door(d).Midpoint());
+      }
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " partition " << v);
+      ExpectBatchedMatchPerPair(part, points, &scratch, &pairs);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(pairs, 1000000u);
+}
+
+// Hand-built rectangles on both sides of the fast path's conditions: near
+// 1e5 and at the magnitude bound 2^19 (fast path), near 1e6 (beyond the
+// bound: full test), and 5 cm and 0.1 mm thin, each with and without a
+// pillar. Random interior points and non-finite points ride along.
+TEST(OneToManyTest, IntraDistancesMatchPerPairOnHandBuiltRectangles) {
+  constexpr double kBound = 524288.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Rect> rooms = {
+      Rect(100000.3, -100020.1, 100012.7, -100005.9),
+      Rect(-kBound, -kBound, kBound, kBound),
+      Rect(kBound - 10.5, kBound - 6.25, kBound, kBound),
+      Rect(1e6, 1e6 + 3.0, 1e6 + 12.5, 1e6 + 9.25),
+      Rect(3.0, 1.0, 3.05, 9.0),
+      Rect(-2.0, 4.0, 1.0, 4.0001),
+  };
+  Rng rng(331);
+  GeodesicScratch scratch;
+  size_t pairs = 0;
+  for (const Rect& room : rooms) {
+    for (const bool pillar : {false, true}) {
+      std::vector<Polygon> obstacles;
+      if (pillar) {
+        const Point c = room.Center();
+        const double hx = room.Width() / 10;
+        const double hy = room.Height() / 10;
+        obstacles.push_back(
+            Polygon::FromRect(Rect(c.x - hx, c.y - hy, c.x + hx, c.y + hy)));
+      }
+      auto region = ObstructedRegion::Create(Polygon::FromRect(room),
+                                             std::move(obstacles));
+      ASSERT_TRUE(region.ok()) << region.status();
+      const Partition part(0, "room", PartitionKind::kRoom, 0,
+                           std::move(region).value(), 1.25);
+      std::vector<Point> points = BoundaryProbePoints(part.footprint(), &rng);
+      for (int i = 0; i < 8; ++i) {
+        points.push_back({rng.NextDouble(room.lo.x, room.hi.x),
+                          rng.NextDouble(room.lo.y, room.hi.y)});
+      }
+      points.push_back({std::nan(""), room.lo.y});
+      points.push_back({room.hi.x, kInf});
+      points.push_back({-kInf, room.Center().y});
+      SCOPED_TRACE(testing::Message()
+                   << "room " << room << (pillar ? " with pillar" : ""));
+      ExpectBatchedMatchPerPair(part, points, &scratch, &pairs);
+      if (HasFatalFailure()) return;
     }
   }
   EXPECT_GT(pairs, 100000u);

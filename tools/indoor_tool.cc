@@ -23,12 +23,14 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/distance/query_scratch.h"
@@ -151,15 +153,38 @@ int Usage() {
   return 2;
 }
 
+/// A malformed numeric argument: main() prints the usage text and exits 2.
+struct BadNumber {};
+
+/// Parses all of `token` as a T with std::from_chars (no leading space or
+/// '+', no trailing characters, in range). A floating-point value must be
+/// finite; an integer (a count or a seed) must not be negative. Throws
+/// BadNumber otherwise.
+template <typename T>
+T ParseNumber(const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) throw BadNumber{};
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) throw BadNumber{};
+  } else if constexpr (std::is_signed_v<T>) {
+    if (value < 0) throw BadNumber{};
+  }
+  return value;
+}
+
 /// Minimal flag parsing: positional args plus --key [value] pairs.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
 
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
-  double Num(const std::string& key, double fallback) const {
+  /// The flag's value through ParseNumber<T>; `fallback` when absent.
+  template <typename T>
+  T Num(const std::string& key, T fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : ParseNumber<T>(it->second);
   }
   std::string Str(const std::string& key, std::string fallback) const {
     const auto it = flags.find(key);
@@ -221,13 +246,13 @@ int CmdGen(const Args& args) {
     return 2;
   }
   BuildingConfig config;
-  config.floors = static_cast<int>(args.Num("floors", 10));
-  config.rooms_per_floor = static_cast<int>(args.Num("rooms", 30));
-  config.seed = static_cast<uint64_t>(args.Num("seed", 42));
+  config.floors = args.Num("floors", 10);
+  config.rooms_per_floor = args.Num("rooms", 30);
+  config.seed = args.Num<uint64_t>("seed", 42);
   config.room_to_room_doors = args.Num("r2r", 0.0);
   config.one_way_fraction = args.Num("oneway", 0.0);
   config.parallel_staircases = args.Has("parallel-stairs");
-  const int buildings = static_cast<int>(args.Num("buildings", 1));
+  const int buildings = args.Num("buildings", 1);
   FloorPlan plan = [&] {
     if (buildings <= 1) return GenerateBuilding(config);
     CampusConfig campus;
@@ -289,10 +314,12 @@ int CmdValidate(const Args& args) {
 
 int CmdDistance(const Args& args, bool with_path) {
   if (args.positional.size() < 5) return Usage();
+  const Point a(ParseNumber<double>(args.positional[1]),
+                ParseNumber<double>(args.positional[2]));
+  const Point b(ParseNumber<double>(args.positional[3]),
+                ParseNumber<double>(args.positional[4]));
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
-  const Point a(std::stod(args.positional[1]), std::stod(args.positional[2]));
-  const Point b(std::stod(args.positional[3]), std::stod(args.positional[4]));
   QueryEngine engine(std::move(plan).value());
   if (!with_path) {
     double d;
@@ -331,18 +358,16 @@ int CmdQuery(const Args& args, bool knn) {
   // kNN's K is a count: a negative, fractional, NaN or out-of-range K is a
   // usage error, not a float-to-integer conversion.
   const std::string& param = args.positional[3];
-  size_t k = 0;
-  if (knn) {
-    const char* end = param.data() + param.size();
-    const auto [ptr, ec] = std::from_chars(param.data(), end, k);
-    if (ec != std::errc() || ptr != end) return Usage();
-  }
+  const size_t k = knn ? ParseNumber<size_t>(param) : 0;
+  const double radius = knn ? 0.0 : ParseNumber<double>(param);
+  const Point q(ParseNumber<double>(args.positional[1]),
+                ParseNumber<double>(args.positional[2]));
+  const size_t objects = args.Num<size_t>("objects", 1000);
+  const uint64_t seed = args.Num<uint64_t>("seed", 7);
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
-  const Point q(std::stod(args.positional[1]), std::stod(args.positional[2]));
   QueryEngine engine(std::move(plan).value());
-  const size_t objects = static_cast<size_t>(args.Num("objects", 1000));
-  Rng rng(static_cast<uint64_t>(args.Num("seed", 7)));
+  Rng rng(seed);
   PopulateStore(GenerateObjects(engine.plan(), objects, &rng),
                 &engine.index().objects());
   if (knn) {
@@ -358,7 +383,6 @@ int CmdQuery(const Args& args, bool knn) {
                   engine.plan().partition(obj.partition).name().c_str());
     }
   } else {
-    const double radius = std::stod(param);
     std::vector<ObjectId> result;
     {
       TraceScope trace(args.Has("trace"));
@@ -375,12 +399,12 @@ int CmdQuery(const Args& args, bool knn) {
 /// quickest way to see every live counter/histogram the library exports.
 int CmdStats(const Args& args) {
   if (args.positional.empty()) return Usage();
+  const size_t objects = args.Num<size_t>("objects", 1000);
+  const size_t queries = args.Num<size_t>("queries", 100);
+  Rng rng(args.Num<uint64_t>("seed", 7));
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
   QueryEngine engine(std::move(plan).value());
-  const size_t objects = static_cast<size_t>(args.Num("objects", 1000));
-  const size_t queries = static_cast<size_t>(args.Num("queries", 100));
-  Rng rng(static_cast<uint64_t>(args.Num("seed", 7)));
   PopulateStore(GenerateObjects(engine.plan(), objects, &rng),
                 &engine.index().objects());
   const auto pairs = GeneratePositionPairs(engine.plan(), queries, &rng);
@@ -407,8 +431,8 @@ int CmdStats(const Args& args) {
 Result<QueryEngine> MakeEngine(FloorPlan plan, IndexOptions options,
                                const Args& args) {
   options.use_hierarchy = args.Has("hierarchy");
-  options.hierarchy_cell_target = static_cast<unsigned>(
-      args.Num("cell-target", options.hierarchy_cell_target));
+  options.hierarchy_cell_target =
+      args.Num("cell-target", options.hierarchy_cell_target);
   const std::string load = args.Str("load", "");
   const std::string load_mmap = args.Str("load-mmap", "");
   if (load.empty() && load_mmap.empty()) {
@@ -442,12 +466,11 @@ int CmdBuild(const Args& args) {
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
   IndexOptions options;
-  options.build_threads = static_cast<unsigned>(args.Num("threads", 0));
+  options.build_threads = args.Num("threads", 0u);
   options.use_hierarchy = args.Has("hierarchy");
-  options.hierarchy_cell_target = static_cast<unsigned>(
-      args.Num("cell-target", options.hierarchy_cell_target));
-  options.landmark_count =
-      static_cast<unsigned>(args.Num("landmark-count", 0));
+  options.hierarchy_cell_target =
+      args.Num("cell-target", options.hierarchy_cell_target);
+  options.landmark_count = args.Num("landmark-count", 0u);
   WallTimer timer;
   const IndexFramework index(plan.value(), options);
   const double build_ms = timer.ElapsedMillis();
@@ -480,11 +503,10 @@ int CmdServe(const Args& args) {
   IndexOptions options;
   options.enable_query_cache = args.Str("cache", "on") != "off";
   options.cache_quantum = args.Num("quantum", options.cache_quantum);
-  options.landmark_count =
-      static_cast<unsigned>(args.Num("landmark-count", 0));
+  options.landmark_count = args.Num("landmark-count", 0u);
   options.approx_knn = args.Has("knn-approx");
-  options.approx_candidate_factor = static_cast<unsigned>(
-      args.Num("candidates", options.approx_candidate_factor));
+  options.approx_candidate_factor =
+      args.Num("candidates", options.approx_candidate_factor);
   if (options.approx_knn && !args.Str("query-log", "").empty()) {
     // A capture's result digests replay against the exact path; an
     // approximate-tier serve would bake measurably-approximate answers
@@ -499,20 +521,20 @@ int CmdServe(const Args& args) {
   }
   QueryEngine& engine = engine_or.value();
 
-  const size_t objects = static_cast<size_t>(args.Num("objects", 1000));
-  const size_t requests = static_cast<size_t>(args.Num("requests", 3000));
-  const size_t position_count =
-      static_cast<size_t>(args.Num("positions", 256));
-  const size_t batch = static_cast<size_t>(args.Num("batch", 64));
-  const unsigned threads = static_cast<unsigned>(args.Num("threads", 0));
+  const size_t objects = args.Num<size_t>("objects", 1000);
+  const size_t requests = args.Num<size_t>("requests", 3000);
+  const size_t position_count = args.Num<size_t>("positions", 256);
+  const size_t batch = args.Num<size_t>("batch", 64);
+  const unsigned threads = args.Num("threads", 0u);
   const double skew = args.Num("skew", 1.0);
   const double move_rate = args.Num("move-rate", 0.0);
-  const size_t move_batch = static_cast<size_t>(args.Num("move-batch", 0));
+  const size_t move_batch = args.Num<size_t>("move-batch", 0);
   if (move_rate > 0 && objects == 0) {
     std::cerr << "serve: --move-rate requires --objects > 0\n";
     return 2;
   }
-  Rng rng(static_cast<uint64_t>(args.Num("seed", 7)));
+  const uint64_t seed = args.Num<uint64_t>("seed", 7);
+  Rng rng(seed);
   PopulateStore(GenerateObjects(engine.plan(), objects, &rng),
                 &engine.index().objects());
   // Builds (or adopts, when a loaded container carried a fresh ANNX
@@ -557,18 +579,20 @@ int CmdServe(const Args& args) {
   // optional and all off the hot path when unused.
   const std::string query_log = args.Str("query-log", "");
   const double slow_ms = args.Num("slow-ms", 100.0);
+  if (slow_ms < 0) return Usage();
   const std::string trace_out = args.Str("trace-out", "");
-  const size_t report_every = static_cast<size_t>(args.Num("report", 0));
+  const size_t report_every = args.Num<size_t>("report", 0);
   if (!query_log.empty() || slow_ms > 0) {
     qlog::QueryLogOptions qopts;
     qopts.path = query_log;
-    qopts.slow_threshold_ns = static_cast<uint64_t>(slow_ms * 1e6);
+    // Clamped below 2^64 ns, so the conversion stays defined.
+    qopts.slow_threshold_ns =
+        static_cast<uint64_t>(std::min(slow_ms * 1e6, 1e18));
     // The capture context: everything replay needs to rebuild this exact
     // index and object population.
     qopts.context = "plan=" + args.positional[0] +
                     "\nobjects=" + std::to_string(objects) +
-                    "\nseed=" + std::to_string(static_cast<uint64_t>(
-                                    args.Num("seed", 7))) +
+                    "\nseed=" + std::to_string(seed) +
                     "\ncache=" +
                     (options.enable_query_cache ? "on" : "off") +
                     "\nquantum=" + std::to_string(options.cache_quantum) +
@@ -582,7 +606,7 @@ int CmdServe(const Args& args) {
   }
   if (!trace_out.empty()) {
     trace::TraceExportOptions topts;
-    topts.sample_every = static_cast<uint32_t>(args.Num("trace-sample", 16));
+    topts.sample_every = args.Num<uint32_t>("trace-sample", 16);
     trace::TraceEventCollector::Global().Enable(topts);
   }
 
@@ -603,8 +627,7 @@ int CmdServe(const Args& args) {
   tseries::FlightRecorder& recorder = tseries::FlightRecorder::Global();
   if (!record_path.empty() || report_every > 0) {
     tseries::FlightRecorderOptions fropts;
-    fropts.interval_ms = static_cast<uint32_t>(
-        args.Num("record-interval-ms", fropts.interval_ms));
+    fropts.interval_ms = args.Num("record-interval-ms", fropts.interval_ms);
     fropts.hotness = &engine.index().hotness();
     fropts.context = "plan=" + args.positional[0] +
                      "\nobjects=" + std::to_string(objects) +
@@ -633,8 +656,7 @@ int CmdServe(const Args& args) {
   // workload runs for any cache/thread configuration. Each batch is
   // stably sorted by target partition before submission, so a batch's
   // epoch bumps land as contiguous per-partition runs.
-  Rng move_rng(static_cast<uint64_t>(args.Num("seed", 7)) ^
-               0x6d6f76657321ull);
+  Rng move_rng(seed ^ 0x6d6f76657321ull);
   const PartitionSampler move_sampler(engine.plan());
   double move_due = 0.0;
   size_t moves_applied = 0;
@@ -845,8 +867,9 @@ int CmdReplay(const Args& args) {
   options.enable_query_cache =
       args.Str("cache", ctx("cache", "on")) != "off";
   options.cache_quantum = args.Num(
-      "quantum", context.count("quantum") ? std::stod(context.at("quantum"))
-                                          : options.cache_quantum);
+      "quantum", context.count("quantum")
+                     ? ParseNumber<double>(context.at("quantum"))
+                     : options.cache_quantum);
   auto engine_or = MakeEngine(std::move(plan).value(), options, args);
   if (!engine_or.ok()) {
     std::cerr << "error: " << engine_or.status() << "\n";
@@ -854,8 +877,8 @@ int CmdReplay(const Args& args) {
   }
   QueryEngine& engine = engine_or.value();
   const size_t objects =
-      static_cast<size_t>(args.Num("objects", std::stod(ctx("objects", "1000"))));
-  Rng rng(static_cast<uint64_t>(args.Num("seed", std::stod(ctx("seed", "7")))));
+      args.Num("objects", ParseNumber<size_t>(ctx("objects", "1000")));
+  Rng rng(args.Num("seed", ParseNumber<uint64_t>(ctx("seed", "7"))));
   PopulateStore(GenerateObjects(engine.plan(), objects, &rng),
                 &engine.index().objects());
 
@@ -864,7 +887,7 @@ int CmdReplay(const Args& args) {
               plan_path.c_str(), objects,
               options.enable_query_cache ? "on" : "off");
   ReplayOptions ropts;
-  ropts.threads = static_cast<unsigned>(args.Num("threads", 0));
+  ropts.threads = args.Num("threads", 0u);
   ropts.speed = args.Num("speed", 0.0);
   const auto report = ReplayWorkload(engine.index(), *capture, ropts);
   if (!report.ok()) {
@@ -921,7 +944,7 @@ int CmdMatrix(const Args& args) {
   auto plan = LoadOrFail(args.positional[0]);
   if (!plan.ok()) return 1;
   const DistanceGraph graph(plan.value());
-  const unsigned threads = static_cast<unsigned>(args.Num("threads", 1));
+  const unsigned threads = args.Num("threads", 1u);
   WallTimer timer;
   const DistanceMatrix matrix(graph, threads);
   const double ms = timer.ElapsedMillis();
@@ -975,19 +998,23 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args = Parse(argc, argv);
   int rc = -1;
-  if (cmd == "gen") rc = CmdGen(args);
-  else if (cmd == "info") rc = CmdInfo(args);
-  else if (cmd == "validate") rc = CmdValidate(args);
-  else if (cmd == "distance") rc = CmdDistance(args, /*with_path=*/false);
-  else if (cmd == "path") rc = CmdDistance(args, /*with_path=*/true);
-  else if (cmd == "range") rc = CmdQuery(args, /*knn=*/false);
-  else if (cmd == "knn") rc = CmdQuery(args, /*knn=*/true);
-  else if (cmd == "matrix") rc = CmdMatrix(args);
-  else if (cmd == "build") rc = CmdBuild(args);
-  else if (cmd == "stats") rc = CmdStats(args);
-  else if (cmd == "serve") rc = CmdServe(args);
-  else if (cmd == "replay") rc = CmdReplay(args);
-  else if (cmd == "dashboard") rc = CmdDashboard(args);
+  try {
+    if (cmd == "gen") rc = CmdGen(args);
+    else if (cmd == "info") rc = CmdInfo(args);
+    else if (cmd == "validate") rc = CmdValidate(args);
+    else if (cmd == "distance") rc = CmdDistance(args, /*with_path=*/false);
+    else if (cmd == "path") rc = CmdDistance(args, /*with_path=*/true);
+    else if (cmd == "range") rc = CmdQuery(args, /*knn=*/false);
+    else if (cmd == "knn") rc = CmdQuery(args, /*knn=*/true);
+    else if (cmd == "matrix") rc = CmdMatrix(args);
+    else if (cmd == "build") rc = CmdBuild(args);
+    else if (cmd == "stats") rc = CmdStats(args);
+    else if (cmd == "serve") rc = CmdServe(args);
+    else if (cmd == "replay") rc = CmdReplay(args);
+    else if (cmd == "dashboard") rc = CmdDashboard(args);
+  } catch (const BadNumber&) {
+    return Usage();
+  }
   if (rc < 0) return Usage();
   const int json_rc = DumpMetricsJson(args);
   return rc != 0 ? rc : json_rc;

@@ -36,7 +36,15 @@
 //             monotone bound would prune that one too. CAUTION: with a
 //             non-trivial PushOk, dist[] may hold a pruned candidate, so
 //             consume distances through OnSettle, never from dist[];
-//             visited[] still tells which doors settled.
+//             visited[] still tells which doors settled. A GOAL-DIRECTED
+//             prune (one that also reads a per-door potential, such as
+//             the hierarchy pt2pt's fl(base + cand) + H(to) > cap) has no
+//             matching OnSettle stop: a door whose shortest branch was cut
+//             can still settle later, through another branch, at a larger
+//             label. OnSettle is then exact only for doors whose whole
+//             shortest branch survived, and the caller must argue which
+//             values can reach its answer (hierarchy_distance.cc does so
+//             at its prune).
 //
 // Seeds are (leg, door) pairs given as two parallel spans: a door is
 // seeded at its leg only if the leg beats its current dist[] (an infinite

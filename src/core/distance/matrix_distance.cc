@@ -9,6 +9,48 @@
 
 namespace indoor {
 
+double Pt2PtLegs(const FloorPlan& plan, PartitionId vs, const Point& ps,
+                 PartitionId vt, const Point& pt, QueryScratch* scratch,
+                 const QueryCache* cache) {
+  double direct = kInfDistance;
+  if (vs == vt) {
+    plan.partition(vs).IntraDistancesToMany(ps, {&pt, 1}, &scratch->geo,
+                                            &direct);
+  }
+  // Destination legs keep the historical door->pt orientation (one kernel
+  // call rooted at each door midpoint); the source legs below share a single
+  // batched solve rooted at ps. With a cache, both fields read through the
+  // cross-query source-field cache (FieldKind::kEnterFrom preserves the
+  // door->pt orientation, and every leave door touches vs, so the canonical
+  // kLeaveFrom field equals the unfiltered IntraDistancesToMany values):
+  // cached and uncached legs are the same bits.
+  const auto midpoints = [&](const std::vector<DoorId>& doors) {
+    auto& mids = scratch->geo.points;
+    mids.clear();
+    for (DoorId d : doors) mids.push_back(plan.door(d).Midpoint());
+    return std::span<const Point>(mids);
+  };
+  const auto& dest_doors = plan.EnterDoors(vt);
+  scratch->dst_leg.resize(dest_doors.size());
+  if (cache != nullptr) {
+    cache->FieldLegs(FieldKind::kEnterFrom, vt, pt, dest_doors,
+                     &scratch->geo, scratch->dst_leg.data());
+  } else {
+    plan.partition(vt).IntraDistancesFromMany(
+        midpoints(dest_doors), pt, &scratch->geo, scratch->dst_leg.data());
+  }
+  const auto& src_doors = plan.LeaveDoors(vs);
+  scratch->src_leg.resize(src_doors.size());
+  if (cache != nullptr) {
+    cache->FieldLegs(FieldKind::kLeaveFrom, vs, ps, src_doors, &scratch->geo,
+                     scratch->src_leg.data());
+  } else {
+    plan.partition(vs).IntraDistancesToMany(
+        ps, midpoints(src_doors), &scratch->geo, scratch->src_leg.data());
+  }
+  return direct;
+}
+
 double Pt2PtDistanceMatrix(const FloorPlan& plan,
                            const DistanceMatrix& matrix, PartitionId vs,
                            const Point& ps, PartitionId vt, const Point& pt,
@@ -21,45 +63,11 @@ double Pt2PtDistanceMatrix(const FloorPlan& plan,
       << "matrix was built for a different plan";
   scratch = &ResolveQueryScratch(scratch);
   const ScratchDecayGuard decay_guard(scratch);
-  const Partition& source_part = plan.partition(vs);
-  const Partition& target_part = plan.partition(vt);
-  double best = kInfDistance;
-  if (vs == vt) {
-    source_part.IntraDistancesToMany(ps, {&pt, 1}, &scratch->geo, &best);
-  }
-  // Destination legs keep the historical door->pt orientation (one kernel
-  // call rooted at each door midpoint); the source legs below share a single
-  // batched solve rooted at ps. With a cache, both fields read through the
-  // cross-query source-field cache (FieldKind::kEnterFrom preserves the
-  // door->pt orientation so values stay bit-identical).
-  const auto& dest_doors = plan.EnterDoors(vt);
-  auto& dest_leg = scratch->dst_leg;
-  dest_leg.resize(dest_doors.size());
-  if (cache != nullptr) {
-    cache->FieldLegs(FieldKind::kEnterFrom, vt, pt, dest_doors,
-                     &scratch->geo, dest_leg.data());
-  } else {
-    auto& mids = scratch->geo.points;
-    mids.clear();
-    for (DoorId dt : dest_doors) mids.push_back(plan.door(dt).Midpoint());
-    target_part.IntraDistancesFromMany(mids, pt, &scratch->geo,
-                                       dest_leg.data());
-  }
+  double best = Pt2PtLegs(plan, vs, ps, vt, pt, scratch, cache);
   const auto& src_doors = plan.LeaveDoors(vs);
-  auto& src_leg = scratch->src_leg;
-  src_leg.resize(src_doors.size());
-  if (cache != nullptr) {
-    // Every leave door touches vs, so the canonical DistVMany field equals
-    // the historical unfiltered IntraDistancesToMany values bit-for-bit.
-    cache->FieldLegs(FieldKind::kLeaveFrom, vs, ps, src_doors, &scratch->geo,
-                     src_leg.data());
-  } else {
-    auto& mids = scratch->geo.points;
-    mids.clear();
-    for (DoorId ds : src_doors) mids.push_back(plan.door(ds).Midpoint());
-    source_part.IntraDistancesToMany(ps, mids, &scratch->geo,
-                                     src_leg.data());
-  }
+  const auto& dest_doors = plan.EnterDoors(vt);
+  const auto& src_leg = scratch->src_leg;
+  const auto& dest_leg = scratch->dst_leg;
   INDOOR_METRICS_ONLY(uint64_t rows_fetched = 0;)
   for (size_t i = 0; i < src_doors.size(); ++i) {
     const double leg1 = src_leg[i];

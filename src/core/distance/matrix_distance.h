@@ -34,6 +34,17 @@ double Pt2PtDistanceMatrix(const FloorPlan& plan,
                            QueryScratch* scratch = nullptr,
                            const QueryCache* cache = nullptr);
 
+/// The entry and exit legs of one pt2pt query, shared by both engines
+/// (this file and hierarchy_distance.h) so their legs are the same bits:
+/// fills scratch->src_leg with ||ps, ds|| per plan.LeaveDoors(vs) and
+/// scratch->dst_leg with ||dt, pt|| per plan.EnterDoors(vt), read through
+/// `cache` when it is non-null (bit-identical either way). Returns the
+/// direct same-partition distance ps -> pt when vs == vt, else
+/// kInfDistance.
+double Pt2PtLegs(const FloorPlan& plan, PartitionId vs, const Point& ps,
+                 PartitionId vt, const Point& pt, QueryScratch* scratch,
+                 const QueryCache* cache);
+
 }  // namespace indoor
 
 #endif  // INDOOR_CORE_DISTANCE_MATRIX_DISTANCE_H_

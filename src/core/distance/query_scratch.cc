@@ -42,6 +42,20 @@ void GeoShrink(GeodesicScratch* g) {
   g->slots.shrink_to_fit();
 }
 
+size_t PotentialCapacityBytes(const PotentialScratch& p) {
+  return VecCapacityBytes(p.dest_locals) + VecCapacityBytes(p.dest_legs) +
+         VecCapacityBytes(p.target_slots) + VecCapacityBytes(p.target_h) +
+         VecCapacityBytes(p.cell_g) + VecCapacityBytes(p.cell_stamp) +
+         VecCapacityBytes(p.order);
+}
+
+size_t PotentialUsedBytes(const PotentialScratch& p) {
+  return VecUsedBytes(p.dest_locals) + VecUsedBytes(p.dest_legs) +
+         VecUsedBytes(p.target_slots) + VecUsedBytes(p.target_h) +
+         VecUsedBytes(p.cell_g) + VecUsedBytes(p.cell_stamp) +
+         VecUsedBytes(p.order);
+}
+
 }  // namespace
 
 QueryScratch& TlsQueryScratch() {
@@ -58,10 +72,11 @@ size_t QueryScratch::CapacityBytes() const {
          VecCapacityBytes(source_doors) + VecCapacityBytes(cand_doors) +
          VecCapacityBytes(src_leg) + VecCapacityBytes(dst_leg) +
          VecCapacityBytes(d2d_cache) + VecCapacityBytes(prev) +
-         collector.CapacityBytes() + VecCapacityBytes(neighbors) +
-         VecCapacityBytes(result_deps) + VecCapacityBytes(sides) +
-         VecCapacityBytes(result_bits) + VecCapacityBytes(approx_bound) +
-         VecCapacityBytes(approx_order) + VecCapacityBytes(approx_dq);
+         PotentialCapacityBytes(potential) + collector.CapacityBytes() +
+         VecCapacityBytes(neighbors) + VecCapacityBytes(result_deps) +
+         VecCapacityBytes(sides) + VecCapacityBytes(result_bits) +
+         VecCapacityBytes(approx_bound) + VecCapacityBytes(approx_order) +
+         VecCapacityBytes(approx_dq);
 }
 
 size_t QueryScratch::UsedBytes() const {
@@ -73,6 +88,7 @@ size_t QueryScratch::UsedBytes() const {
          VecUsedBytes(source_doors) + VecUsedBytes(cand_doors) +
          VecUsedBytes(src_leg) + VecUsedBytes(dst_leg) +
          VecUsedBytes(d2d_cache) + VecUsedBytes(prev) +
+         PotentialUsedBytes(potential) +
          collector.size() * sizeof(std::pair<double, ObjectId>) +
          VecUsedBytes(neighbors) + VecUsedBytes(result_deps) +
          VecUsedBytes(sides) + VecUsedBytes(result_bits) +
@@ -96,6 +112,13 @@ void QueryScratch::ShrinkToFit() {
   dst_leg.shrink_to_fit();
   d2d_cache.shrink_to_fit();
   prev.shrink_to_fit();
+  potential.dest_locals.shrink_to_fit();
+  potential.dest_legs.shrink_to_fit();
+  potential.target_slots.shrink_to_fit();
+  potential.target_h.shrink_to_fit();
+  potential.cell_g.shrink_to_fit();
+  potential.cell_stamp.shrink_to_fit();
+  potential.order.shrink_to_fit();
   collector.ShrinkToFit();
   neighbors.shrink_to_fit();
   result_deps.shrink_to_fit();

@@ -21,6 +21,7 @@
 #define INDOOR_CORE_DISTANCE_QUERY_SCRATCH_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/distance/d2d_distance.h"
@@ -48,6 +49,26 @@ struct ResultGate {
   double fdv = kInfDistance;
 };
 
+/// Buffers of the hierarchy's per-query distance-to-destination potential
+/// (HierarchyPotential, hierarchy_distance.h).
+struct PotentialScratch {
+  /// The finite-leg destinations: local index in the target cell, leg.
+  std::vector<uint32_t> dest_locals;
+  std::vector<double> dest_legs;
+  /// The target cell's borders: border-clique slot, hT of that border.
+  std::vector<uint32_t> target_slots;
+  std::vector<double> target_h;
+  /// g of every (cell, border) pair, laid out as the hierarchy's
+  /// CellBorderLocals; cell c's entries hold this potential's values only
+  /// while cell_stamp[c] equals `generation`, so a new potential resets
+  /// nothing per cell.
+  std::vector<double> cell_g;
+  std::vector<uint32_t> cell_stamp;
+  uint32_t generation = 0;
+  /// A pt2pt query's source doors in search order: (leg + H, source index).
+  std::vector<std::pair<double, uint32_t>> order;
+};
+
 /// Reusable state for one thread's distance-aware queries.
 struct QueryScratch {
   /// Geodesic solver state for the entry/exit legs (Locator::DistVMany)
@@ -70,6 +91,8 @@ struct QueryScratch {
   std::vector<double> d2d_cache;
   /// Algorithm 4's prev[.] array for backward reuse.
   std::vector<PrevEntry> prev;
+  /// The hierarchy pt2pt search's distance-to-destination potential.
+  PotentialScratch potential;
 
   /// kNN candidate collector; Reset(k) per query.
   KnnCollector collector{1};

@@ -304,37 +304,6 @@ bool HierarchyIndex::TryExact(DoorId s, DoorId t, double* out) const {
   return false;
 }
 
-double HierarchyIndex::UpperBound(DoorId s, DoorId t) const {
-  double exact;
-  if (TryExact(s, t, &exact)) return exact;
-  double best = kInfDistance;
-  for (int ss = 0; ss < 2; ++ss) {
-    const uint32_t cs = door_cells_[2 * s + ss];
-    if (cs == kNone) continue;
-    const double* srow = BlockRow(cs, door_locals_[2 * s + ss]);
-    const std::span<const DoorId> smembers = CellMembers(cs);
-    for (const uint32_t bl : CellBorderLocals(cs)) {
-      const double d1 = srow[bl];
-      if (d1 == kInfDistance) continue;
-      const double* brow = BorderRow(border_of_door_[smembers[bl]]);
-      for (int ts = 0; ts < 2; ++ts) {
-        const uint32_t ct = door_cells_[2 * t + ts];
-        if (ct == kNone) continue;
-        const uint32_t lt = door_locals_[2 * t + ts];
-        const std::span<const DoorId> tmembers = CellMembers(ct);
-        for (const uint32_t bl2 : CellBorderLocals(ct)) {
-          const double mid = brow[border_of_door_[tmembers[bl2]]];
-          if (mid == kInfDistance) continue;
-          const double d3 = BlockRow(ct, bl2)[lt];
-          if (d3 == kInfDistance) continue;
-          best = std::min(best, d1 + mid + d3);
-        }
-      }
-    }
-  }
-  return best;
-}
-
 size_t HierarchyIndex::MemoryBytes() const {
   return partition_cells_.PayloadBytes() + door_cells_.PayloadBytes() +
          door_locals_.PayloadBytes() + member_offsets_.PayloadBytes() +

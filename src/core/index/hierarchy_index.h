@@ -24,11 +24,13 @@
 //    bit-identical to the flat Md2d entry.
 //  * Query paths (hierarchy_distance.cc, and door_ball.h for range/kNN)
 //    serve intra-cell lookups straight from the blocks and answer
-//    inter-cell queries by running BOUNDED flat Dijkstras whose stop and
-//    push-prune conditions are provably loss-free; composed border sums
-//    are used ONLY as upper-bound caps on those runs (scaled by a safety
-//    margin that dominates the composition's rounding error), never as
-//    answers.
+//    inter-cell queries by running BOUNDED flat Dijkstras. Composed sums
+//    (block + border clique + block) are caps and a pruning potential,
+//    never answers: pt2pt caps its runs and prunes their pushes with a
+//    composed distance-to-destination potential (HierarchyPotential),
+//    each scaled by a margin that dominates the composition's rounding,
+//    and every value that can reach an answer is still settled by the
+//    Dijkstra itself.
 //
 // The flat Md2d path remains the default and the oracle: IndexOptions
 // selects the hierarchy explicitly, and the randomized equality suite
@@ -200,19 +202,6 @@ class HierarchyIndex {
   /// When `s` and `t` share a cell, writes the exact (flat-Md2d-bit-equal)
   /// distance d(s -> t) from that cell's block and returns true.
   bool TryExact(DoorId s, DoorId t, double* out) const;
-
-  /// Upper bound on d(s -> t): the shared-cell exact value, else the best
-  /// block -> border-clique -> block composition. Composed sums carry
-  /// floating-point rounding, so callers must scale by a safety margin
-  /// (kUpperBoundSlack) before using the bound as a loss-free search cap;
-  /// +inf when no border route exists.
-  double UpperBound(DoorId s, DoorId t) const;
-
-  /// Multiplicative slack that turns UpperBound() into a provably safe
-  /// Dijkstra cap: the composition's relative rounding error is a few
-  /// hundred ulps (~1e-13), so 1e-9 dominates it by orders of magnitude
-  /// while costing nothing measurable in search volume.
-  static constexpr double kUpperBoundSlack = 1.0 + 1e-9;
 
   /// Bytes across every array (identical for owned and mapped payloads).
   size_t MemoryBytes() const;

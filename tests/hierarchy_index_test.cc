@@ -9,14 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/distance/hierarchy_distance.h"
+#include "core/distance/query_scratch.h"
 #include "core/query/query_engine.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
+#include "indoor/floor_plan_builder.h"
 #include "indoor/sample_plans.h"
+#include "util/metrics.h"
 
 namespace indoor {
 namespace {
@@ -30,14 +38,27 @@ bool BitEq(double a, double b) {
   return ba == bb;
 }
 
-FloorPlan MakeCampus(int buildings, int floors, int rooms, uint64_t seed) {
+FloorPlan MakeCampus(int buildings, int floors, int rooms, uint64_t seed,
+                     double room_to_room_doors = 0.0,
+                     double one_way_fraction = 0.0,
+                     double obstacle_probability = 0.0) {
   CampusConfig config;
   config.buildings = buildings;
   config.building.floors = floors;
   config.building.rooms_per_floor = rooms;
+  config.building.room_to_room_doors = room_to_room_doors;
+  config.building.one_way_fraction = one_way_fraction;
+  config.building.obstacle_probability = obstacle_probability;
   config.seed = seed;
   config.building.seed = seed;
   return GenerateCampus(config);
+}
+
+/// A campus with room-to-room doors, half of them one-way, and obstacles
+/// in half the rooms: a directed door graph and obstructed legs.
+FloorPlan MakeHostileCampus(int buildings, int floors, int rooms,
+                            uint64_t seed) {
+  return MakeCampus(buildings, floors, rooms, seed, 0.4, 0.5, 0.5);
 }
 
 IndexOptions HierOptions(bool cache, unsigned cell_target) {
@@ -57,7 +78,8 @@ IndexOptions FlatOptions(bool cache) {
 /// Runs the same randomized mixed workload through both engines and
 /// demands bitwise-identical answers everywhere.
 void ExpectEngineEquality(const FloorPlan& plan, bool cache,
-                          unsigned cell_target, uint64_t seed) {
+                          unsigned cell_target, uint64_t seed,
+                          size_t pt2pt_pairs = 60) {
   QueryEngine flat(plan, FlatOptions(cache));
   QueryEngine hier(plan, HierOptions(cache, cell_target));
   ASSERT_TRUE(hier.index().hierarchy_index().valid());
@@ -69,7 +91,7 @@ void ExpectEngineEquality(const FloorPlan& plan, bool cache,
                 &hier.index().objects());
 
   Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
-  const auto pairs = GeneratePositionPairs(plan, 60, &rng);
+  const auto pairs = GeneratePositionPairs(plan, pt2pt_pairs, &rng);
   const auto positions = GenerateQueryPositions(plan, 60, &rng);
 
   for (const auto& [a, b] : pairs) {
@@ -123,17 +145,91 @@ TEST(HierarchyIndexTest, RandomizedSeedsSweep) {
   }
 }
 
-TEST(HierarchyIndexTest, DoorDistanceMatchesMatrixBitwise) {
-  const FloorPlan plan = MakeCampus(2, 2, 8, 7);
-  QueryEngine flat(plan, FlatOptions(true));
-  QueryEngine hier(plan, HierOptions(true, 16));
-  const size_t n = plan.door_count();
-  for (DoorId s = 0; s < n; ++s) {
-    for (DoorId t = 0; t < n; ++t) {
-      EXPECT_TRUE(BitEq(flat.DoorDistance(s, t), hier.DoorDistance(s, t)))
-          << "door pair (" << s << ", " << t << ")";
+TEST(HierarchyIndexTest, HostileCampusMatchesFlatBitwise) {
+  // One-way doors make the door graph directed, room-to-room doors add
+  // short cuts past the hallways, and obstacles block legs: the
+  // goal-directed pt2pt search must still settle every value that
+  // reaches an answer, from per-partition cells to whole buildings.
+  const FloorPlan plan = MakeHostileCampus(3, 3, 8, 61);
+  for (const unsigned cell_target : {1u, 4u, 16u, 128u}) {
+    for (const bool cache : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "cell_target " << cell_target << " cache " << cache);
+      ExpectEngineEquality(plan, cache, cell_target, /*seed=*/61 + cell_target,
+                           /*pt2pt_pairs=*/200);
     }
   }
+}
+
+TEST(HierarchyIndexTest, DoorDistanceMatchesMatrixBitwise) {
+  const std::pair<FloorPlan, unsigned> cases[] = {
+      {MakeCampus(2, 2, 8, 7), 16}, {MakeHostileCampus(2, 2, 8, 7), 4}};
+  for (const auto& [plan, cell_target] : cases) {
+    QueryEngine flat(plan, FlatOptions(true));
+    QueryEngine hier(plan, HierOptions(true, cell_target));
+    const size_t n = plan.door_count();
+    for (DoorId s = 0; s < n; ++s) {
+      for (DoorId t = 0; t < n; ++t) {
+        EXPECT_TRUE(BitEq(flat.DoorDistance(s, t), hier.DoorDistance(s, t)))
+            << "door pair (" << s << ", " << t << ") at cell target "
+            << cell_target;
+      }
+    }
+  }
+}
+
+uint64_t CounterValue(const char* name) {
+#if INDOOR_METRICS_ENABLED
+  return metrics::MetricsRegistry::Global().GetCounter(name).Value();
+#else
+  (void)name;
+  return 0;
+#endif
+}
+
+TEST(HierarchyIndexTest, UnreachableDestinationsStartNoRun) {
+  // a <-> b -> c <-> d <-> e: the one-way door b -> c is the only way
+  // out of {a, b}, so from c, d and e nothing reaches a or b. With one
+  // cell per partition every such pair is cross-cell; its potential is
+  // +inf at every source door, so no bounded run starts.
+  FloorPlanBuilder b;
+  PartitionId parts[5];
+  for (int i = 0; i < 5; ++i) {
+    parts[i] = b.AddPartition(std::string(1, static_cast<char>('a' + i)),
+                              PartitionKind::kRoom, 1,
+                              Rect(4.0 * i, 0, 4.0 * i + 4.0, 4));
+  }
+  const auto door_at = [](double x) { return Segment({x, 1.8}, {x, 2.2}); };
+  const DoorId ab = b.AddBidirectionalDoor("ab", door_at(4), parts[0], parts[1]);
+  b.AddUnidirectionalDoor("bc", door_at(8), parts[1], parts[2]);
+  b.AddBidirectionalDoor("cd", door_at(12), parts[2], parts[3]);
+  const DoorId de =
+      b.AddBidirectionalDoor("de", door_at(16), parts[3], parts[4]);
+  auto built = std::move(b).Build();
+  ASSERT_TRUE(built.ok());
+  const FloorPlan plan = std::move(built).value();
+  QueryEngine flat(plan, FlatOptions(false));
+  QueryEngine hier(plan, HierOptions(false, 1));
+
+  const Point in_a{2, 2}, in_b{6, 1}, in_d{14, 3}, in_e{18, 2};
+  for (const auto& [from, to] : {std::pair{in_d, in_a}, std::pair{in_e, in_b},
+                                 std::pair{in_e, in_a}}) {
+    const uint64_t runs_before = CounterValue("index.hier.pt2pt.runs");
+    EXPECT_EQ(hier.Distance(from, to), kInfDistance);
+    EXPECT_EQ(CounterValue("index.hier.pt2pt.runs"), runs_before);
+    EXPECT_EQ(flat.Distance(from, to), kInfDistance);
+  }
+  const uint64_t d2d_before = CounterValue("index.hier.d2d.runs");
+  EXPECT_EQ(hier.DoorDistance(de, ab), kInfDistance);
+  EXPECT_EQ(CounterValue("index.hier.d2d.runs"), d2d_before);
+  // The other way round every pair is reachable and matches bit for bit.
+  for (const auto& [from, to] : {std::pair{in_a, in_d}, std::pair{in_b, in_e},
+                                 std::pair{in_a, in_e}}) {
+    const double want = flat.Distance(from, to);
+    EXPECT_LT(want, kInfDistance);
+    EXPECT_TRUE(BitEq(hier.Distance(from, to), want));
+  }
+  EXPECT_TRUE(BitEq(hier.DoorDistance(ab, de), flat.DoorDistance(ab, de)));
 }
 
 TEST(HierarchyIndexTest, BlocksAreExactMatrixEntries) {
@@ -206,15 +302,53 @@ TEST(HierarchyIndexTest, StructuralInvariantsHold) {
     }
   }
 
-  // TryExact serves shared-cell pairs with the flat value; UpperBound
-  // never undercuts the true distance.
+  // TryExact serves shared-cell pairs with the flat value.
   for (DoorId s = 0; s < plan.door_count(); ++s) {
     for (DoorId t = 0; t < plan.door_count(); ++t) {
       double exact = -1.0;
       if (hier.TryExact(s, t, &exact)) {
         EXPECT_TRUE(BitEq(exact, md2d.At(s, t)));
       }
-      EXPECT_GE(hier.UpperBound(s, t), md2d.At(s, t) * 0.999999999);
+    }
+  }
+}
+
+TEST(HierarchyIndexTest, PotentialMatchesMatrixWithinRounding) {
+  // H composed from blocks and the border clique equals the exact
+  // min_j(Md2d[v][d_j] + leg_j) at every door up to rounding, and is +inf
+  // exactly where no destination is reachable; an infinite leg drops its
+  // destination.
+  const std::pair<FloorPlan, unsigned> cases[] = {
+      {MakeCampus(3, 2, 8, 29), 24}, {MakeHostileCampus(2, 3, 8, 31), 4}};
+  for (const auto& [plan, cell_target] : cases) {
+    const DistanceGraph graph(plan);
+    const DistanceMatrix md2d(graph);
+    const HierarchyIndex hier = HierarchyIndex::Build(graph, 1, cell_target);
+    QueryScratch scratch;
+    for (PartitionId vt = 0; vt < plan.partition_count(); ++vt) {
+      const auto& dests = plan.EnterDoors(vt);
+      std::vector<double> legs(dests.size());
+      for (size_t j = 0; j < legs.size(); ++j) {
+        legs[j] = j == 1 ? kInfDistance : 0.5 + 1.25 * static_cast<double>(j);
+      }
+      HierarchyPotential potential(hier, hier.CellOfPartition(vt), dests,
+                                   legs, &scratch.potential);
+      for (DoorId v = 0; v < plan.door_count(); ++v) {
+        double want = kInfDistance;
+        for (size_t j = 0; j < dests.size(); ++j) {
+          if (legs[j] != kInfDistance) {
+            want = std::min(want, md2d.At(v, dests[j]) + legs[j]);
+          }
+        }
+        const double got = potential.At(v);
+        if (want == kInfDistance) {
+          EXPECT_EQ(got, kInfDistance) << "door " << v << " to " << vt;
+        } else {
+          EXPECT_LE(std::abs(got - want), 1e-9 * want)
+              << "door " << v << " to " << vt << ": " << got << " vs "
+              << want;
+        }
+      }
     }
   }
 }

@@ -25,19 +25,6 @@ namespace indoor {
 namespace qlog {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string ReadAll(std::FILE* f) {
-  std::string content;
-  std::rewind(f);
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  return content;
-}
-
 // ------------------------------------------------------------ record + JSON
 
 TEST(QueryLogRecordTest, LayoutIsStable) {
@@ -153,6 +140,19 @@ TEST(SnapshotTextTest, RejectsNamesWithWhitespace) {
 }
 
 #ifdef INDOOR_METRICS_ENABLED
+
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+std::string ReadAll(std::FILE* f) {
+  std::string content;
+  std::rewind(f);
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  return content;
+}
 
 // ------------------------------------------------------------------ scopes
 

@@ -39,6 +39,10 @@ struct PrevEntry {
 struct DoorDijkstraScratch {
   std::vector<double> dist;
   std::vector<char> visited;
+  /// The doors whose dist[] the last run wrote (visited[] is set only at
+  /// such doors); the next run resets just these when the arrays are
+  /// already sized to its door count.
+  std::vector<DoorId> touched;
   BucketQueue bucket;
   /// Per-span candidate distances / improved-lane indices for the SIMD
   /// batch relaxation (sized to the graph's max out-degree on first use).

@@ -77,8 +77,9 @@ struct AlwaysPush {
 };
 
 /// Door Dijkstra from the seeds (seed_legs[i], seed_doors[i]) into
-/// scratch->dist / scratch->visited, both assigned to the door count;
-/// `prev_out` may be null. See the file comment for the policy contracts.
+/// scratch->dist / scratch->visited, both sized to the door count, +inf and
+/// 0 wherever the run wrote nothing; `prev_out` may be null. See the file
+/// comment for the policy contracts.
 template <typename OnSettle = SettleAll, typename PushOk = AlwaysPush>
 void RunDoorDijkstra(const DistanceGraph& graph,
                      std::span<const DoorId> seed_doors,
@@ -89,11 +90,23 @@ void RunDoorDijkstra(const DistanceGraph& graph,
   const size_t n = graph.plan().door_count();
   INDOOR_CHECK(seed_doors.size() == seed_legs.size());
 
+  // Reset what the previous run wrote, or everything when the arrays are
+  // not sized to this graph (first use, another plan, dist moved out).
   std::vector<double>& dist = scratch->dist;
-  dist.assign(n, kInfDistance);
-  if (prev_out != nullptr) prev_out->assign(n, PrevEntry{});
   std::vector<char>& visited = scratch->visited;
-  visited.assign(n, 0);
+  std::vector<DoorId>& touched = scratch->touched;
+  if (dist.size() == n && visited.size() == n) {
+    for (const DoorId door : touched) {
+      dist[door] = kInfDistance;
+      visited[door] = 0;
+    }
+  } else {
+    dist.assign(n, kInfDistance);
+    visited.assign(n, 0);
+    touched.reserve(n);
+  }
+  touched.clear();
+  if (prev_out != nullptr) prev_out->assign(n, PrevEntry{});
   scratch->relax_cand.resize(graph.max_door_out_degree());
   scratch->relax_idx.resize(graph.max_door_out_degree());
   double* const cand = scratch->relax_cand.data();
@@ -105,6 +118,7 @@ void RunDoorDijkstra(const DistanceGraph& graph,
     const DoorId door = seed_doors[i];
     INDOOR_CHECK(door < n);
     if (seed_legs[i] < dist[door]) {
+      if (dist[door] == kInfDistance) touched.push_back(door);
       dist[door] = seed_legs[i];
       queue.push({seed_legs[i], door});
     }
@@ -128,6 +142,7 @@ void RunDoorDijkstra(const DistanceGraph& graph,
       const size_t i = idx[k];
       const DoorId to = edges[i].to;
       if (cand[i] < dist[to]) {  // re-check: duplicate targets in one span
+        if (dist[to] == kInfDistance) touched.push_back(to);
         dist[to] = cand[i];
         if (prev_out != nullptr) (*prev_out)[to] = {edges[i].via, di};
         if (!push_ok(to, cand[i])) continue;

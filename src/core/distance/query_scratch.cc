@@ -66,8 +66,10 @@ QueryScratch& TlsQueryScratch() {
 size_t QueryScratch::CapacityBytes() const {
   return GeoCapacityBytes(geo) + GeoCapacityBytes(bucket.geo) +
          VecCapacityBytes(bucket.cell_order) +
-         VecCapacityBytes(bucket.filter_mask) + VecCapacityBytes(door.dist) +
-         VecCapacityBytes(door.visited) + door.bucket.CapacityBytes() +
+         VecCapacityBytes(bucket.filter_mask) + VecCapacityBytes(bucket.gates) +
+         VecCapacityBytes(bucket.cell_done) + VecCapacityBytes(bucket.slots) +
+         VecCapacityBytes(door.dist) + VecCapacityBytes(door.visited) +
+         VecCapacityBytes(door.touched) + door.bucket.CapacityBytes() +
          VecCapacityBytes(door.relax_cand) + VecCapacityBytes(door.relax_idx) +
          VecCapacityBytes(source_doors) + VecCapacityBytes(cand_doors) +
          VecCapacityBytes(src_leg) + VecCapacityBytes(dst_leg) +
@@ -82,7 +84,9 @@ size_t QueryScratch::CapacityBytes() const {
 size_t QueryScratch::UsedBytes() const {
   return GeoUsedBytes(geo) + GeoUsedBytes(bucket.geo) +
          VecUsedBytes(bucket.cell_order) + VecUsedBytes(bucket.filter_mask) +
-         VecUsedBytes(door.dist) + VecUsedBytes(door.visited) +
+         VecUsedBytes(bucket.gates) + VecUsedBytes(bucket.cell_done) +
+         VecUsedBytes(bucket.slots) + VecUsedBytes(door.dist) +
+         VecUsedBytes(door.visited) + VecUsedBytes(door.touched) +
          door.bucket.size() * sizeof(std::pair<double, DoorId>) +
          VecUsedBytes(door.relax_cand) + VecUsedBytes(door.relax_idx) +
          VecUsedBytes(source_doors) + VecUsedBytes(cand_doors) +
@@ -101,8 +105,12 @@ void QueryScratch::ShrinkToFit() {
   GeoShrink(&bucket.geo);
   bucket.cell_order.shrink_to_fit();
   bucket.filter_mask.shrink_to_fit();
+  bucket.gates.shrink_to_fit();
+  bucket.cell_done.shrink_to_fit();
+  bucket.slots.shrink_to_fit();
   door.dist.shrink_to_fit();
   door.visited.shrink_to_fit();
+  door.touched.shrink_to_fit();
   door.bucket.ShrinkToFit();
   door.relax_cand.shrink_to_fit();
   door.relax_idx.shrink_to_fit();

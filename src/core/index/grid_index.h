@@ -2,11 +2,41 @@
 // partition live in an object bucket that is subdivided by a uniform grid;
 // each grid cell is a sub-bucket. rangeSearch/nnSearch prune whole cells by
 // circle overlap before touching individual objects.
+//
+// Layout: a bucket is one cell-ordered array of (id, position) slots held
+// as two parallel arrays. Cell c owns the slots from its begin up to the
+// next cell's begin, and its entries fill the front of them, [begin, end).
+// Insert appends at the end of its cell and Remove moves its cell's last
+// entry into the hole, so every cell keeps the order a vector per cell
+// would give it (kNN's offer order, and with it its ties at the k-th
+// distance, depend on that order). An update touches only its own cell's
+// slice and slots: only a full cell grows, doubling its slots and shifting
+// the later cells, so growth stops once every cell has held its peak.
+// Whole-bucket inclusion reads the slot arrays front to back, and a cell's
+// batched distance solve reads its positions in place.
+//
+// Range queries reach one partition through several doors. RangeSearchGates
+// admits, in one pass over the bucket, the union of what RangeSearch would
+// admit for each (anchor, budget) gate, straight into the query's result
+// bitmap. It is exact because it only skips work whose outcome is known:
+//   - a row or column whose axis gap alone, sqrt(g * g) * scale, exceeds
+//     the budget. That is Rect::MinDistance's own expression with the
+//     other axis at 0, and rounding is monotone, so every cell there has
+//     MinDistance * scale >= the gap's and RangeSearch prunes it too;
+//   - a cell an earlier gate of the pass admitted whole, and an object
+//     already in the bitmap: both are in the union already.
+// Every other cell goes through the per-cell verdict RangeSearch and
+// WouldAdmit use (prune by the lower bound, admit whole by the upper bound
+// in obstacle-free convex partitions, else the batched per-object test),
+// and each object's distance is the one per-object IntraDistance gives.
 
 #ifndef INDOOR_CORE_INDEX_GRID_INDEX_H_
 #define INDOOR_CORE_INDEX_GRID_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -71,6 +101,48 @@ class KnnCollector {
   std::vector<std::pair<double, ObjectId>> entries_;
 };
 
+/// A range query's result as one bit per object id, over caller-owned
+/// words that are all-zero between queries. Add sets an id's bit and counts
+/// the id the first time. Emit returns the set ids in ascending order, in a
+/// vector allocated once, and zeroes every word it scans. An object
+/// admitted through several doors, or by the host search and a door, is
+/// emitted once.
+class ResultBits {
+ public:
+  ResultBits(std::vector<uint64_t>* words, size_t objects) : words_(words) {
+    const size_t need = (objects + 63) / 64;
+    if (words_->size() < need) words_->resize(need);  // new words are zero
+  }
+
+  bool Contains(ObjectId id) const {
+    return ((*words_)[id / 64] >> (id % 64)) & 1;
+  }
+
+  void Add(ObjectId id) {
+    const size_t w = id / 64;
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    count_ += ((*words_)[w] & bit) == 0;
+    (*words_)[w] |= bit;
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w + 1);
+  }
+
+  std::vector<ObjectId> Emit();
+
+ private:
+  std::vector<uint64_t>* words_;
+  size_t count_ = 0;
+  size_t lo_ = std::numeric_limits<size_t>::max();  // touched words [lo, hi)
+  size_t hi_ = 0;
+};
+
+/// One gate of a GridBucket::RangeSearchGates pass: the RangeSearch
+/// anchored at `anchor` with radius `budget`.
+struct RangeGate {
+  Point anchor;
+  double budget = 0.0;
+};
+
 /// Reusable GridBucket search state: the geodesic scratch for batched
 /// intra-partition distances plus the cell visit-order buffer. Same
 /// ownership contract as GeodesicScratch — one thread at a time, buffers
@@ -81,6 +153,11 @@ struct BucketScratch {
   /// Byte mask of the batched distance-filter compare (RangeSearch's
   /// d <= r test, evaluated via simd::MaskLessEqual over a whole cell).
   std::vector<uint8_t> filter_mask;
+  /// RangeSearchGates: the caller's gates of one partition, the cells the
+  /// running pass admitted whole, and the entries of a cell still to test.
+  std::vector<RangeGate> gates;
+  std::vector<uint8_t> cell_done;
+  std::vector<uint32_t> slots;
 
   /// Observability accumulators, incremented by GridBucket searches (only
   /// when the library is built with INDOOR_METRICS=ON) and drained into
@@ -122,11 +199,11 @@ inline void FlushBucketStats(BucketScratch* scratch) {
 /// pairs; all distances reported by searches are intra-partition walking
 /// distances (obstructed and metric-scaled as the partition dictates).
 ///
-/// Thread-safety: ForEachId/CollectAll/RangeSearch/NnSearch and the cell
-/// accessors are const and keep all traversal state (cell frontiers,
-/// candidate heaps) in locals or caller-provided scratch/output buffers, so
-/// concurrent readers are safe. Insert/Remove require external
-/// synchronization.
+/// Thread-safety: ForEachId/CollectAll/RangeSearch/RangeSearchGates/
+/// NnSearch and the cell accessors are const and keep all traversal state
+/// (cell frontiers, candidate heaps) in locals or caller-provided
+/// scratch/output buffers, so concurrent readers are safe. Insert/Remove
+/// require external synchronization.
 class GridBucket {
  public:
   GridBucket() = default;
@@ -135,31 +212,37 @@ class GridBucket {
   /// meters (at least 1 x 1 cells).
   GridBucket(const Partition& partition, double cell_size);
 
-  /// Adds an object at `position` (must lie in the covered bounding box).
+  /// Adds an object at `position` (must lie in the covered bounding box)
+  /// at the end of its cell.
   void Insert(ObjectId id, const Point& position);
 
-  /// Removes the object (position must match the inserted one). Returns
-  /// false if absent.
+  /// Removes the object (position must match the inserted one); its
+  /// cell's last entry takes its place. Returns false if absent.
   bool Remove(ObjectId id, const Point& position);
 
   /// Objects currently in the bucket.
-  size_t size() const { return count_; }
+  size_t size() const { return size_; }
 
   /// Grid cells covering the partition's bounding box.
-  size_t cell_count() const { return cells_.size(); }
+  size_t cell_count() const { return nx_ * ny_; }
 
-  /// Calls visit(id) for every object in the bucket (whole-partition
-  /// inclusion).
+  /// Calls visit(id) for every object in the bucket, cell by cell
+  /// (whole-partition inclusion).
   template <typename Visit>
   void ForEachId(const Visit& visit) const {
-    for (const auto& cell : cells_) {
-      for (const auto& [id, pos] : cell) visit(id);
+    for (size_t c = 0; c < cell_count(); ++c) {
+      for (uint32_t j = cells_[c].begin; j < cells_[c].end; ++j) {
+        visit(ids_[j]);
+      }
     }
   }
 
   /// Appends every object id in the bucket (whole-partition inclusion).
   void CollectAll(std::vector<ObjectId>* out) const {
-    ForEachId([out](ObjectId id) { out->push_back(id); });
+    for (size_t c = 0; c < cell_count(); ++c) {
+      out->insert(out->end(), ids_.begin() + cells_[c].begin,
+                  ids_.begin() + cells_[c].end);
+    }
   }
 
   /// rangeSearch(B, q, r): appends (id, distance) of all objects whose
@@ -173,12 +256,19 @@ class GridBucket {
                    std::vector<Neighbor>* out,
                    BucketScratch* scratch = nullptr) const;
 
+  /// Adds to `bits` every object that RangeSearch(partition, g.anchor,
+  /// g.budget) admits for some gate g, in one pass over the bucket (see
+  /// the file comment for why the pass is exact). A gate with a negative
+  /// or NaN budget admits nothing, as in RangeSearch.
+  void RangeSearchGates(const Partition& partition,
+                        std::span<const RangeGate> gates, ResultBits* bits,
+                        BucketScratch* scratch) const;
+
   /// Single-object admission predicate of RangeSearch: would a
   /// RangeSearch(partition, q, r, ...) report an object located at
-  /// `position`? Mirrors the cell-level shortcuts (Euclidean lower-bound
-  /// prune, whole-cell upper-bound admission) exactly, so the verdict is
-  /// bit-identical to the full search's treatment of that object. Backs
-  /// the query cache's stale-result repair path.
+  /// `position`? Applies the same per-cell verdict as the full search, so
+  /// the answer is bit-identical to the full search's treatment of that
+  /// object. Backs the query cache's stale-result repair path.
   bool WouldAdmit(const Partition& partition, const Point& q, double r,
                   const Point& position, GeodesicScratch* geo = nullptr) const;
 
@@ -194,22 +284,39 @@ class GridBucket {
   /// Geometry of cell `idx` (for external best-first traversals).
   Rect CellRectAt(size_t idx) const { return CellRect(idx); }
 
-  /// Contents of cell `idx`.
-  const std::vector<std::pair<ObjectId, Point>>& CellContents(
-      size_t idx) const {
-    INDOOR_CHECK(idx < cells_.size());
-    return cells_[idx];
+  /// Ids and positions of cell `idx`'s objects, in the cell's order.
+  std::span<const ObjectId> CellIds(size_t idx) const {
+    INDOOR_CHECK(idx < cell_count());
+    return {ids_.data() + cells_[idx].begin, CellSize(idx)};
+  }
+  std::span<const Point> CellPoints(size_t idx) const {
+    INDOOR_CHECK(idx < cell_count());
+    return {points_.data() + cells_[idx].begin, CellSize(idx)};
   }
 
  private:
   size_t CellIndex(const Point& p) const;
-  Rect CellRect(size_t idx) const;
+  Rect CellRect(size_t cx, size_t cy) const;
+  Rect CellRect(size_t idx) const { return CellRect(idx % nx_, idx / nx_); }
+  size_t CellSize(size_t idx) const {
+    return cells_[idx].end - cells_[idx].begin;
+  }
+
+  /// Cell c's entries are slots [begin, end) of the parallel arrays ids_
+  /// and points_; its free slots run up to cells_[c + 1].begin. The last
+  /// element is a sentinel whose begin is the slot count.
+  struct CellSlice {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
 
   Point origin_;
   double cell_size_ = 1.0;
   size_t nx_ = 0, ny_ = 0;
-  size_t count_ = 0;
-  std::vector<std::vector<std::pair<ObjectId, Point>>> cells_;
+  size_t size_ = 0;
+  std::vector<CellSlice> cells_;
+  std::vector<ObjectId> ids_;
+  std::vector<Point> points_;
 };
 
 }  // namespace indoor

@@ -1,5 +1,7 @@
 #include "core/query/incremental_knn.h"
 
+#include <span>
+
 namespace indoor {
 
 DistanceBrowser::DistanceBrowser(const IndexFramework& index, const Point& q)
@@ -39,7 +41,7 @@ void DistanceBrowser::PushCells(PartitionId partition, const Point& anchor,
   if (bucket.size() == 0) return;
   const double scale = index_->plan().partition(partition).metric_scale();
   for (size_t c = 0; c < bucket.cell_count(); ++c) {
-    if (bucket.CellContents(c).empty()) continue;
+    if (bucket.CellIds(c).empty()) continue;
     Entry entry;
     entry.kind = Kind::kCell;
     entry.partition = partition;
@@ -90,20 +92,21 @@ void DistanceBrowser::Settle() {
     } else {  // kCell
       const Partition& part = plan.partition(top.partition);
       const GridBucket& bucket = index_->objects().bucket(top.partition);
-      const auto& contents = bucket.CellContents(top.cell);
+      const std::span<const ObjectId> ids = bucket.CellIds(top.cell);
+      const std::span<const Point> points = bucket.CellPoints(top.cell);
       // One batched geodesic solve from the anchor covers every unyielded
       // object of the cell (identical values to per-object IntraDistance).
       auto& pts = scratch_.geo.points;
       pts.clear();
-      for (const auto& [id, pos] : contents) {
-        if (!yielded_.count(id)) pts.push_back(pos);
+      for (size_t j = 0; j < ids.size(); ++j) {
+        if (!yielded_.count(ids[j])) pts.push_back(points[j]);
       }
       if (pts.empty()) continue;
       auto& legs = scratch_.src_leg;
       legs.resize(pts.size());
       part.IntraDistancesToMany(top.anchor, pts, &scratch_.geo, legs.data());
       size_t next_leg = 0;
-      for (const auto& [id, pos] : contents) {
+      for (const ObjectId id : ids) {
         if (yielded_.count(id)) continue;
         const double leg = legs[next_leg++];
         if (leg == kInfDistance) continue;

@@ -1,9 +1,7 @@
 #include "core/query/range_query.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/distance/query_scratch.h"
@@ -15,47 +13,6 @@
 
 namespace indoor {
 namespace {
-
-/// The query's result as one bit per object id, over the scratch's
-/// bitmap, which is all-zero between queries. Add sets an id's bit and
-/// counts the id the first time. Emit returns the set ids in ascending
-/// order, in a vector reserved to that count, and zeroes every word it
-/// scans. An object admitted through several doors, or by the host search
-/// and a door, is emitted once.
-class ResultBits {
- public:
-  ResultBits(std::vector<uint64_t>* words, size_t objects) : words_(words) {
-    const size_t need = (objects + 63) / 64;
-    if (words_->size() < need) words_->resize(need);  // new words are zero
-  }
-
-  void Add(ObjectId id) {
-    const size_t w = id / 64;
-    const uint64_t bit = uint64_t{1} << (id % 64);
-    count_ += ((*words_)[w] & bit) == 0;
-    (*words_)[w] |= bit;
-    lo_ = std::min(lo_, w);
-    hi_ = std::max(hi_, w + 1);
-  }
-
-  std::vector<ObjectId> Emit() {
-    std::vector<ObjectId> ids;
-    ids.reserve(count_);
-    for (size_t w = lo_; w < hi_; ++w) {
-      for (uint64_t word = std::exchange((*words_)[w], 0); word != 0;
-           word &= word - 1) {
-        ids.push_back(static_cast<ObjectId>(w * 64 + std::countr_zero(word)));
-      }
-    }
-    return ids;
-  }
-
- private:
-  std::vector<uint64_t>* words_;
-  size_t count_ = 0;
-  size_t lo_ = std::numeric_limits<size_t>::max();  // touched words [lo, hi)
-  size_t hi_ = 0;
-};
 
 /// Would a fresh Qr(q, r) admit an object currently at `o`? Evaluates the
 /// exact gate expressions of the full search: the host-partition direct
@@ -152,7 +109,7 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
   }
   scratch = &ResolveQueryScratch(scratch);
   const ScratchDecayGuard decay_guard(scratch);
-  std::vector<Neighbor>& found = scratch->neighbors;
+  BucketScratch& bucket_scratch = scratch->bucket;
   std::vector<PartitionId>* deps = nullptr;
   if (cache != nullptr) {
     deps = &scratch->result_deps;
@@ -160,18 +117,6 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
     deps->push_back(v);  // the host bucket is always examined
   }
   ResultBits bits(&scratch->result_bits, index.objects().size());
-
-  // Line 2: search the host partition directly.
-  found.clear();
-  INDOOR_METRICS_ONLY(uint64_t host_tested = scratch->bucket.objects_tested;)
-  {
-    INDOOR_TRACE_SPAN("host_search");
-    index.objects().bucket(v).RangeSearch(plan.partition(v), q, r, &found,
-                                          &scratch->bucket);
-  }
-  INDOOR_METRICS_ONLY(host_tested =
-                          scratch->bucket.objects_tested - host_tested;)
-  for (const Neighbor& nb : found) bits.Add(nb.id);
 
   // Lines 3-20: expand through every leaveable door of the host partition.
   // All q-to-door legs come from one batched geodesic solve rooted at q.
@@ -188,8 +133,8 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
     INDOOR_TRACE_SPAN("door_expansion");
     // Every visited door contributes its two DPT sides to the side plan.
     // The result is a set, so only the plan's canonical form matters: the
-    // unordered expansion suffices, and one search per (part, door) at
-    // its widest budget admits what all of that pair's budgets admit
+    // unordered expansion suffices, and one gate per (part, door) at its
+    // widest budget admits what all of that pair's budgets admit
     // (GridBucket::RangeSearch's cell prune, whole-cell admit and
     // per-object test are monotone in the budget).
     for (size_t i = 0; i < src_doors.size(); ++i) {
@@ -211,51 +156,61 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
       });
     }
     CanonicalizeGates(/*widest=*/true, &sides);
+  }
 
-    // Lines 11-20, once per reached partition: whole-partition inclusion
-    // when any side has fdv <= budget, else one grid-pruned range search
-    // per door at its widest budget. Every reached partition is a
-    // dependency of the cached result, an empty one included: reaching it
-    // means its population matters. The plan depends only on geometry and
-    // r, so it also serves as the cached result's repair gates.
+  // Line 2 and lines 11-20, once per reached partition, the host always
+  // among them: whole-partition inclusion when any side has fdv <= budget,
+  // else one RangeSearchGates pass over the partition's gates, each side
+  // at its door midpoint and widest budget, and in the host the direct
+  // search from q with r. Every reached partition is a dependency of the
+  // cached result, an empty one included: reaching it means its population
+  // matters. The plan depends only on geometry and r, so it also serves as
+  // the cached result's repair gates.
+  const auto search = [&](PartitionId part, size_t i, size_t end) {
+    INDOOR_METRICS_ONLY(
+        const uint64_t tested_before = bucket_scratch.objects_tested;)
+    const GridBucket& bucket = index.objects().bucket(part);
+    bool whole = false;
+    for (size_t j = i; j < end; ++j) {
+      whole |= sides[j].fdv <= sides[j].budget;
+    }
+    if (bucket.size() != 0 && whole) {
+      INDOOR_COUNTER_INC("index.grid.collect_all");
+      bucket.ForEachId([&bits](ObjectId id) { bits.Add(id); });
+    } else if (bucket.size() != 0) {
+      std::vector<RangeGate>& gates = bucket_scratch.gates;
+      gates.clear();
+      if (part == v) gates.push_back({q, r});
+      for (size_t j = i; j < end; ++j) {
+        const ResultGate& side = sides[j];
+        gates.push_back({plan.door(side.door).Midpoint(), side.budget});
+      }
+      bucket.RangeSearchGates(plan.partition(part), gates, &bits,
+                              &bucket_scratch);
+    }
+    // Hotness: one visit per reached partition.
+    INDOOR_METRICS_ONLY(bucket_scratch.hot.emplace_back(
+        part, static_cast<uint32_t>(bucket_scratch.objects_tested -
+                                    tested_before));)
+  };
+  {
+    INDOOR_TRACE_SPAN("bucket_search");
+    bool host_searched = false;
     for (size_t i = 0, end = 0; i < sides.size(); i = end) {
       const PartitionId part = sides[i].part;
-      bool whole = false;
       for (end = i; end < sides.size() && sides[end].part == part; ++end) {
-        whole |= sides[end].fdv <= sides[end].budget;
       }
-      if (deps != nullptr && part != v) deps->push_back(part);
-      INDOOR_METRICS_ONLY(
-          const uint64_t tested_before = scratch->bucket.objects_tested;)
-      const GridBucket& bucket = index.objects().bucket(part);
-      if (bucket.size() != 0 && whole) {
-        INDOOR_COUNTER_INC("index.grid.collect_all");
-        bucket.ForEachId([&bits](ObjectId id) { bits.Add(id); });
-      } else if (bucket.size() != 0) {
-        for (size_t j = i; j < end; ++j) {
-          found.clear();
-          bucket.RangeSearch(plan.partition(part),
-                             plan.door(sides[j].door).Midpoint(),
-                             sides[j].budget, &found, &scratch->bucket);
-          for (const Neighbor& nb : found) bits.Add(nb.id);
-        }
+      if (part == v) {
+        host_searched = true;
+      } else if (deps != nullptr) {
+        deps->push_back(part);
       }
-      // Hotness: one visit per reached partition; a door back into the
-      // host adds to the host search's visit.
-      INDOOR_METRICS_ONLY(const uint64_t tested =
-                              scratch->bucket.objects_tested - tested_before;
-                          if (part == v) {
-                            host_tested += tested;
-                          } else {
-                            scratch->bucket.hot.emplace_back(
-                                part, static_cast<uint32_t>(tested));
-                          })
+      search(part, i, end);
     }
+    if (!host_searched) search(v, 0, 0);
   }
-  INDOOR_METRICS_ONLY(
-      scratch->bucket.hot.emplace_back(v, static_cast<uint32_t>(host_tested));
-      ball.FlushStats(); FlushBucketStats(&scratch->bucket);
-      index.hotness().FlushVisits(&scratch->bucket.hot);)
+  INDOOR_METRICS_ONLY(ball.FlushStats(); FlushBucketStats(&bucket_scratch);
+                      index.hotness().FlushVisits(&bucket_scratch.hot);)
 
   result = bits.Emit();
   if (cache != nullptr) {

@@ -1,6 +1,7 @@
 #include "core/query/window_query.h"
 
 #include <algorithm>
+#include <span>
 
 namespace indoor {
 namespace {
@@ -13,13 +14,14 @@ template <typename Visit>
 void ScanBucket(const GridBucket& bucket, const Rect& window,
                 const Visit& visit) {
   for (size_t c = 0; c < bucket.cell_count(); ++c) {
-    const auto& cell = bucket.CellContents(c);
-    if (cell.empty()) continue;
+    const std::span<const ObjectId> ids = bucket.CellIds(c);
+    if (ids.empty()) continue;
     const Rect rect = bucket.CellRectAt(c);
     if (!rect.Intersects(window)) continue;
     const bool whole_cell = window.ContainsRect(rect);
-    for (const auto& [id, pos] : cell) {
-      visit(id, whole_cell || window.Contains(pos));
+    const std::span<const Point> points = bucket.CellPoints(c);
+    for (size_t j = 0; j < ids.size(); ++j) {
+      visit(ids[j], whole_cell || window.Contains(points[j]));
     }
   }
 }

@@ -85,7 +85,7 @@ struct IndexOptions {
   /// host lookups); the range/kNN result cache gets an additional 1/4 of
   /// this on top.
   size_t cache_capacity_bytes = 32u << 20;
-  /// LRU shards per cache (rounded up to a power of two).
+  /// Shards per cache (rounded up to a power of two).
   unsigned cache_shards = 16;
 };
 

@@ -47,9 +47,11 @@ uint64_t NextBatchId() {
 }  // namespace
 
 BatchExecutor::BatchExecutor(const IndexFramework& index, unsigned threads)
-    : index_(&index),
-      pool_(ResolveThreadCount(threads)),
-      scratches_(pool_.thread_count()) {}
+    : index_(&index), scratches_(ResolveThreadCount(threads)) {
+  // The calling thread is worker 0; ThreadPool(0) would mean hardware
+  // concurrency, so a one-worker executor holds no pool.
+  if (scratches_.size() > 1) pool_.emplace(thread_count() - 1);
+}
 
 void BatchExecutor::Execute(const QueryRequest& request, PartitionId host,
                             QueryScratch* scratch,
@@ -73,11 +75,11 @@ void BatchExecutor::Execute(const QueryRequest& request, PartitionId host,
       break;
     }
     case QueryRequest::Kind::kRange:
-      result->ids = RangeQuery(*index_, request.a, request.radius, {},
+      result->ids = RangeQuery(*index_, host, request.a, request.radius, {},
                                scratch);
       break;
     case QueryRequest::Kind::kKnn:
-      result->neighbors = KnnQuery(*index_, request.a, request.k, {},
+      result->neighbors = KnnQuery(*index_, host, request.a, request.k, {},
                                    scratch);
       break;
   }
@@ -122,7 +124,7 @@ std::vector<QueryResult> BatchExecutor::Run(
   if (requests.empty()) return results;
 
   // Host resolution up front: one (cached) locator probe per request,
-  // reused both for grouping and as the pt2pt source hint.
+  // reused both for grouping and as the request's host in Execute.
   std::vector<BatchItem> order;
   order.reserve(requests.size());
   for (uint32_t i = 0; i < requests.size(); ++i) {
@@ -138,8 +140,8 @@ std::vector<QueryResult> BatchExecutor::Run(
     std::sort(order.begin(), order.end());
   }
 
-  // Contiguous same-host runs become the work units fanned across the
-  // pool; workers claim groups from an atomic cursor.
+  // Contiguous same-host runs become the work units; workers claim
+  // groups from an atomic cursor.
   std::vector<std::pair<uint32_t, uint32_t>> groups;
   for (uint32_t begin = 0; begin < order.size();) {
     uint32_t end = begin + 1;
@@ -158,28 +160,31 @@ std::vector<QueryResult> BatchExecutor::Run(
   const bool observed = qlog::internal::Armed() || trace_on;
   const uint64_t batch_id = observed ? NextBatchId() : 0;
 #endif
-  for (unsigned t = 0; t < pool_.thread_count(); ++t) {
-    pool_.Submit([&, t] {
-      QueryScratch& scratch = scratches_[t];
-      for (uint32_t g = cursor.fetch_add(1, std::memory_order_relaxed);
-           g < groups.size();
-           g = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        for (uint32_t i = groups[g].first; i < groups[g].second; ++i) {
-          const BatchItem& item = order[i];
+  const auto work = [&](unsigned t) {
+    QueryScratch& scratch = scratches_[t];
+    for (uint32_t g = cursor.fetch_add(1, std::memory_order_relaxed);
+         g < groups.size();
+         g = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      for (uint32_t i = groups[g].first; i < groups[g].second; ++i) {
+        const BatchItem& item = order[i];
 #ifdef INDOOR_METRICS_ENABLED
-          if (observed) {
-            ExecuteObserved(requests[item.index], item.host, &scratch,
-                            &results[item.index], batch_id, t, trace_on);
-            continue;
-          }
-#endif
-          Execute(requests[item.index], item.host, &scratch,
-                  &results[item.index]);
+        if (observed) {
+          ExecuteObserved(requests[item.index], item.host, &scratch,
+                          &results[item.index], batch_id, t, trace_on);
+          continue;
         }
+#endif
+        Execute(requests[item.index], item.host, &scratch,
+                &results[item.index]);
       }
-    });
+    }
+  };
+  // Workers 1.. run on the pool; the calling thread is worker 0.
+  for (unsigned t = 1; t < thread_count(); ++t) {
+    pool_->Submit([&work, t] { work(t); });
   }
-  pool_.Wait();
+  work(0);
+  if (pool_) pool_->Wait();
 
   INDOOR_COUNTER_INC("batch.runs");
   INDOOR_COUNTER_ADD("batch.requests", requests.size());

@@ -10,8 +10,10 @@
 //      partition's source-door field and the rest hit it (and even with
 //      the cache off, consecutive same-source geodesic solves reuse the
 //      GeodesicScratch single-source cache),
-//   3. contiguous same-partition groups are fanned out across a ThreadPool
-//      with one long-lived QueryScratch per worker,
+//   3. contiguous same-partition groups are claimed by the workers, each
+//      with one long-lived QueryScratch: the calling thread is worker 0
+//      and a ThreadPool runs the others (a one-worker executor holds no
+//      pool and runs the batch inline),
 //   4. each result lands in the slot of its originating request.
 //
 // Results are bit-identical to running the same requests through
@@ -27,6 +29,7 @@
 #ifndef INDOOR_CORE_QUERY_BATCH_EXECUTOR_H_
 #define INDOOR_CORE_QUERY_BATCH_EXECUTOR_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -88,7 +91,8 @@ struct BatchOptions {
 class BatchExecutor {
  public:
   /// `index` must outlive the executor. `threads` = 0 uses hardware
-  /// concurrency.
+  /// concurrency. Run()'s calling thread is worker 0, so the pool holds
+  /// `threads` - 1 threads.
   BatchExecutor(const IndexFramework& index, unsigned threads);
 
   /// Executes the batch and returns one result per request, in request
@@ -96,7 +100,10 @@ class BatchExecutor {
   std::vector<QueryResult> Run(std::span<const QueryRequest> requests,
                                const BatchOptions& options = {});
 
-  unsigned thread_count() const { return pool_.thread_count(); }
+  /// Workers per batch, the calling thread included.
+  unsigned thread_count() const {
+    return static_cast<unsigned>(scratches_.size());
+  }
 
  private:
   void Execute(const QueryRequest& request, PartitionId host,
@@ -113,8 +120,8 @@ class BatchExecutor {
                        bool collect_trace) const;
 
   const IndexFramework* index_;
-  ThreadPool pool_;
   std::vector<QueryScratch> scratches_;  // one per worker
+  std::optional<ThreadPool> pool_;       // workers 1..; none for one worker
 };
 
 /// One-shot convenience: builds a transient executor with

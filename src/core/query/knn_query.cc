@@ -327,19 +327,16 @@ bool ApproxKnnServe(const IndexFramework& index, const ApproxKnnIndex& approx,
   return true;
 }
 
-}  // namespace
-
-std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
-                               size_t k, KnnQueryOptions options,
-                               QueryScratch* scratch) {
-  INDOOR_LATENCY_SPAN("knn", "query.knn.latency_ns");
-  qlog::QueryLogScope qscope(qlog::RecordKind::kKnn, q.x, q.y, 0.0, 0.0, 0.0,
-                             qlog::LoggedK(k), scratch != nullptr);
+/// Qnn(q, k) from q's host partition `v` (kInvalidId: q is not indoors)
+/// under the entry point's query-log scope.
+std::vector<Neighbor> KnnQueryFrom(const IndexFramework& index, PartitionId v,
+                                   const Point& q, size_t k,
+                                   KnnQueryOptions options,
+                                   QueryScratch* scratch,
+                                   qlog::QueryLogScope& qscope) {
+  if (v == kInvalidId || k == 0) return {};
   const FloorPlan& plan = index.plan();
   const QueryCache* cache = index.query_cache();
-  const auto host = CachedHostPartition(cache, index.locator(), q);
-  if (!host.ok() || k == 0) return {};
-  const PartitionId v = host.value();
   qscope.SetHost(v);
   const auto served = [&qscope](std::vector<Neighbor> nbrs) {
     INDOOR_HISTOGRAM_RECORD("query.knn.results", nbrs.size());
@@ -469,6 +466,30 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
   }
   if (sorted.size() > k) sorted.resize(k);
   return served(std::move(sorted));
+}
+
+}  // namespace
+
+std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
+                               size_t k, KnnQueryOptions options,
+                               QueryScratch* scratch) {
+  INDOOR_LATENCY_SPAN("knn", "query.knn.latency_ns");
+  qlog::QueryLogScope qscope(qlog::RecordKind::kKnn, q.x, q.y, 0.0, 0.0, 0.0,
+                             qlog::LoggedK(k), scratch != nullptr);
+  const auto host = CachedHostPartition(index.query_cache(), index.locator(),
+                                        q);
+  return KnnQueryFrom(index, host.ok() ? host.value() : kInvalidId, q, k,
+                      options, scratch, qscope);
+}
+
+std::vector<Neighbor> KnnQuery(const IndexFramework& index, PartitionId host,
+                               const Point& q, size_t k,
+                               KnnQueryOptions options,
+                               QueryScratch* scratch) {
+  INDOOR_LATENCY_SPAN("knn", "query.knn.latency_ns");
+  qlog::QueryLogScope qscope(qlog::RecordKind::kKnn, q.x, q.y, 0.0, 0.0, 0.0,
+                             qlog::LoggedK(k), scratch != nullptr);
+  return KnnQueryFrom(index, host, q, k, options, scratch, qscope);
 }
 
 }  // namespace indoor

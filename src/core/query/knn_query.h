@@ -43,6 +43,15 @@ std::vector<Neighbor> KnnQuery(const IndexFramework& index, const Point& q,
                                size_t k, KnnQueryOptions options = {},
                                QueryScratch* scratch = nullptr);
 
+/// Variant with q's host partition already known (e.g. resolved by a
+/// batch): `host` is what the cache's or locator's getHostPartition(q)
+/// returns, kInvalidId when q is not indoors. The variant above resolves
+/// it and calls this.
+std::vector<Neighbor> KnnQuery(const IndexFramework& index, PartitionId host,
+                               const Point& q, size_t k,
+                               KnnQueryOptions options = {},
+                               QueryScratch* scratch = nullptr);
+
 }  // namespace indoor
 
 #endif  // INDOOR_CORE_QUERY_KNN_QUERY_H_

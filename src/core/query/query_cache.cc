@@ -106,9 +106,10 @@ Result<PartitionId> QueryCache::HostPartition(const Point& p) const {
   if (hit) return cached;
   Result<PartitionId> resolved = locator_->GetHostPartition(p);
   if (resolved.ok()) {
-    // The charge approximates the map node + list node footprint.
-    host_cache_.Insert(key, HostEntry{p, resolved.value()},
-                       sizeof(HostEntry) + 96);
+    host_cache_.InsertWith(key, [&](HostEntry& entry) {
+      entry = HostEntry{p, resolved.value()};
+      return HostCache::SlotBytes();
+    });
   }
   return resolved;
 }
@@ -137,9 +138,11 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
   if (!hit) {
     buffer.resize(canonical.size());
     SolveField(*locator_, kind, v, p, canonical, scratch, buffer.data());
-    field_cache_.Insert(
-        key, FieldEntry{p, buffer},
-        sizeof(FieldEntry) + canonical.size() * sizeof(double) + 96);
+    field_cache_.InsertWith(key, [&](FieldEntry& entry) {
+      entry.p = p;
+      entry.legs.assign(buffer.begin(), buffer.end());
+      return FieldCache::SlotBytes() + entry.legs.capacity() * sizeof(double);
+    });
   }
   if (doors.size() == canonical.size()) {
     // Callers pass either the canonical list itself or an ascending
@@ -268,29 +271,46 @@ void CanonicalizeGates(bool widest, std::vector<ResultGate>* gates) {
 
 void QueryCache::InsertResult(uint8_t kind, const Point& p, uint64_t param,
                               std::span<const PartitionId> deps,
-                              ResultEntry entry) const {
-  entry.p = p;
-  entry.param = param;
-  entry.deps.reserve(deps.size());
+                              std::span<const ResultGate> gates,
+                              const std::vector<ObjectId>* ids,
+                              const std::vector<Neighbor>* neighbors) const {
+  // The dependency epochs are stamped and sorted outside the shard lock;
+  // the fill below only copies into the slot's retained vectors.
+  static thread_local std::vector<EpochDep> stamped;
+  stamped.clear();
   for (const PartitionId part : deps) {
-    entry.deps.push_back({part, objects_->epoch(part)});
+    stamped.push_back({part, objects_->epoch(part)});
   }
-  std::sort(entry.deps.begin(), entry.deps.end(),
-            [](const EpochDep& a, const EpochDep& b) { return a.part < b.part; });
-  entry.deps.erase(std::unique(entry.deps.begin(), entry.deps.end(),
-                               [](const EpochDep& a, const EpochDep& b) {
-                                 return a.part == b.part;
-                               }),
-                   entry.deps.end());
-  const size_t bytes = EntryBytes(entry);
-  result_cache_.Insert(MakeResultKey(kind, p, param), std::move(entry), bytes);
+  std::sort(stamped.begin(), stamped.end(),
+            [](const EpochDep& a, const EpochDep& b) {
+              return a.part < b.part;
+            });
+  stamped.erase(std::unique(stamped.begin(), stamped.end(),
+                            [](const EpochDep& a, const EpochDep& b) {
+                              return a.part == b.part;
+                            }),
+                stamped.end());
+  result_cache_.InsertWith(
+      MakeResultKey(kind, p, param), [&](ResultEntry& entry) {
+        entry.p = p;
+        entry.param = param;
+        entry.deps.assign(stamped.begin(), stamped.end());
+        entry.gates.assign(gates.begin(), gates.end());
+        entry.ids.clear();
+        if (ids != nullptr) entry.ids.assign(ids->begin(), ids->end());
+        entry.neighbors.clear();
+        if (neighbors != nullptr) {
+          entry.neighbors.assign(neighbors->begin(), neighbors->end());
+        }
+        return EntryBytes(entry);
+      });
 }
 
 size_t QueryCache::EntryBytes(const ResultEntry& entry) {
-  return sizeof(ResultEntry) + entry.deps.size() * sizeof(EpochDep) +
-         entry.gates.size() * sizeof(ResultGate) +
-         entry.ids.size() * sizeof(ObjectId) +
-         entry.neighbors.size() * sizeof(Neighbor) + 96;
+  return ResultCache::SlotBytes() + entry.deps.capacity() * sizeof(EpochDep) +
+         entry.gates.capacity() * sizeof(ResultGate) +
+         entry.ids.capacity() * sizeof(ObjectId) +
+         entry.neighbors.capacity() * sizeof(Neighbor);
 }
 
 void QueryCache::CommitRepaired(uint8_t kind, const Point& p, uint64_t param,
@@ -318,10 +338,8 @@ void QueryCache::InsertRangeResult(const Point& p, double r, uint8_t kind,
                                    std::span<const PartitionId> deps,
                                    std::span<const ResultGate> gates,
                                    const std::vector<ObjectId>& result) const {
-  ResultEntry entry;
-  entry.ids = result;
-  entry.gates.assign(gates.begin(), gates.end());
-  InsertResult(kind, p, std::bit_cast<uint64_t>(r), deps, std::move(entry));
+  InsertResult(kind, p, std::bit_cast<uint64_t>(r), deps, gates, &result,
+               nullptr);
 }
 
 void QueryCache::CommitRepairedRange(
@@ -334,11 +352,11 @@ void QueryCache::InsertKnnResult(const Point& p, size_t k, uint8_t kind,
                                  std::span<const PartitionId> deps,
                                  std::span<const ResultGate> gates,
                                  const std::vector<Neighbor>& result) const {
-  ResultEntry entry;
-  entry.neighbors = result;
-  entry.gates.assign(gates.begin(), gates.end());
-  CanonicalizeGates(/*widest=*/false, &entry.gates);
-  InsertResult(kind, p, static_cast<uint64_t>(k), deps, std::move(entry));
+  static thread_local std::vector<ResultGate> canonical;
+  canonical.assign(gates.begin(), gates.end());
+  CanonicalizeGates(/*widest=*/false, &canonical);
+  InsertResult(kind, p, static_cast<uint64_t>(k), deps, canonical, nullptr,
+               &result);
 }
 
 void QueryCache::CommitRepairedKnn(const Point& p, size_t k, uint8_t kind,

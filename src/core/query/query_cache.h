@@ -46,7 +46,9 @@
 // when the query re-solves. Geometry entries survive every write.
 //
 // Threading: all methods are safe for any number of concurrent callers
-// (sharded LRU with per-shard locking, see util/sharded_cache.h). Epoch
+// (sharded CLOCK tables with per-shard locking, see util/sharded_cache.h).
+// A miss writes its host, field or result entry in place into the slot
+// the cache recycles, so a warm miss allocates nothing. Epoch
 // snapshots rely on the store's single-writer contract: a query runs
 // entirely between writes, so the epochs it records at insert time are
 // the ones its result was computed under. Invalidate() remains as an
@@ -95,7 +97,7 @@ struct QueryCacheOptions {
   size_t host_capacity_bytes = 8u << 20;
   /// Byte budget of the range/kNN result cache.
   size_t result_capacity_bytes = 8u << 20;
-  /// LRU shards per cache (rounded up to a power of two).
+  /// Shards per cache (rounded up to a power of two).
   size_t shards = 16;
 };
 
@@ -309,18 +311,27 @@ class QueryCache {
                           std::vector<ObjectId>* out_ids,
                           std::vector<Neighbor>* out_neighbors,
                           StaleResult* stale) const;
-  /// Shared insert body: stamps `deps` with their epochs into `entry`,
-  /// whose payload and canonical gates the caller filled.
+  /// Shared insert body: writes the entry in place into its cache slot,
+  /// stamping `deps` with their current epochs. `gates` are canonical;
+  /// exactly one of `ids`/`neighbors` is non-null.
   void InsertResult(uint8_t kind, const Point& p, uint64_t param,
                     std::span<const PartitionId> deps,
-                    ResultEntry entry) const;
+                    std::span<const ResultGate> gates,
+                    const std::vector<ObjectId>* ids,
+                    const std::vector<Neighbor>* neighbors) const;
   /// Shared body of the CommitRepaired* pair: in-place payload patch +
   /// epoch refresh via ShardedCache::Mutate. Exactly one of
   /// `ids`/`neighbors` is non-null.
   void CommitRepaired(uint8_t kind, const Point& p, uint64_t param,
                       const std::vector<ObjectId>* ids,
                       const std::vector<Neighbor>* neighbors) const;
+  /// A result entry's charge: its slot plus the capacity its vectors
+  /// retain.
   static size_t EntryBytes(const ResultEntry& entry);
+
+  using FieldCache = ShardedCache<FieldKey, FieldEntry, FieldKeyHash>;
+  using HostCache = ShardedCache<HostKey, HostEntry, HostKeyHash>;
+  using ResultCache = ShardedCache<ResultKey, ResultEntry, ResultKeyHash>;
 
   const FloorPlan* plan_;
   const PartitionLocator* locator_;
@@ -328,9 +339,9 @@ class QueryCache {
   QueryCacheOptions options_;
   double inv_quantum_;
   Rect plan_bounds_ = Rect::Empty();  // union of partition bounding boxes
-  mutable ShardedCache<FieldKey, FieldEntry, FieldKeyHash> field_cache_;
-  mutable ShardedCache<HostKey, HostEntry, HostKeyHash> host_cache_;
-  mutable ShardedCache<ResultKey, ResultEntry, ResultKeyHash> result_cache_;
+  mutable FieldCache field_cache_;
+  mutable HostCache host_cache_;
+  mutable ResultCache result_cache_;
   mutable std::atomic<uint64_t> epoch_rejects_{0};
   mutable std::atomic<uint64_t> repairs_{0};
 };

@@ -62,20 +62,17 @@ void RepairRangeResult(const IndexFramework& index, const Point& q, double r,
   }
 }
 
-}  // namespace
-
-std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
-                                 double r, RangeQueryOptions options,
-                                 QueryScratch* scratch) {
-  INDOOR_LATENCY_SPAN("range", "query.range.latency_ns");
-  qlog::QueryLogScope qscope(qlog::RecordKind::kRange, q.x, q.y, 0.0, 0.0, r,
-                             0, scratch != nullptr);
+/// Qr(q, r) from q's host partition `v` (kInvalidId: q is not indoors)
+/// under the entry point's query-log scope.
+std::vector<ObjectId> RangeQueryFrom(const IndexFramework& index,
+                                     PartitionId v, const Point& q, double r,
+                                     RangeQueryOptions options,
+                                     QueryScratch* scratch,
+                                     qlog::QueryLogScope& qscope) {
   std::vector<ObjectId> result;
+  if (v == kInvalidId || !(r >= 0)) return result;  // also a NaN radius
   const FloorPlan& plan = index.plan();
   const QueryCache* cache = index.query_cache();
-  const auto host = CachedHostPartition(cache, index.locator(), q);
-  if (!host.ok() || !(r >= 0)) return result;  // also rejects a NaN radius
-  const PartitionId v = host.value();
   qscope.SetHost(v);
   const auto served = [&qscope](std::vector<ObjectId> ids) {
     INDOOR_HISTOGRAM_RECORD("query.range.results", ids.size());
@@ -217,6 +214,30 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
     cache->InsertRangeResult(q, r, result_kind, *deps, sides, result);
   }
   return served(std::move(result));
+}
+
+}  // namespace
+
+std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
+                                 double r, RangeQueryOptions options,
+                                 QueryScratch* scratch) {
+  INDOOR_LATENCY_SPAN("range", "query.range.latency_ns");
+  qlog::QueryLogScope qscope(qlog::RecordKind::kRange, q.x, q.y, 0.0, 0.0, r,
+                             0, scratch != nullptr);
+  const auto host = CachedHostPartition(index.query_cache(), index.locator(),
+                                        q);
+  return RangeQueryFrom(index, host.ok() ? host.value() : kInvalidId, q, r,
+                        options, scratch, qscope);
+}
+
+std::vector<ObjectId> RangeQuery(const IndexFramework& index, PartitionId host,
+                                 const Point& q, double r,
+                                 RangeQueryOptions options,
+                                 QueryScratch* scratch) {
+  INDOOR_LATENCY_SPAN("range", "query.range.latency_ns");
+  qlog::QueryLogScope qscope(qlog::RecordKind::kRange, q.x, q.y, 0.0, 0.0, r,
+                             0, scratch != nullptr);
+  return RangeQueryFrom(index, host, q, r, options, scratch, qscope);
 }
 
 }  // namespace indoor

@@ -30,6 +30,15 @@ std::vector<ObjectId> RangeQuery(const IndexFramework& index, const Point& q,
                                  double r, RangeQueryOptions options = {},
                                  QueryScratch* scratch = nullptr);
 
+/// Variant with q's host partition already known (e.g. resolved by a
+/// batch): `host` is what the cache's or locator's getHostPartition(q)
+/// returns, kInvalidId when q is not indoors. The variant above resolves
+/// it and calls this.
+std::vector<ObjectId> RangeQuery(const IndexFramework& index, PartitionId host,
+                                 const Point& q, double r,
+                                 RangeQueryOptions options = {},
+                                 QueryScratch* scratch = nullptr);
+
 }  // namespace indoor
 
 #endif  // INDOOR_CORE_QUERY_RANGE_QUERY_H_

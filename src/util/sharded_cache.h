@@ -1,15 +1,36 @@
-// A generic N-way sharded read-through LRU cache for cross-query work
-// sharing (docs/ARCHITECTURE.md "serving layer").
+// A generic N-way sharded read-through cache for cross-query work sharing
+// (docs/ARCHITECTURE.md "serving layer").
 //
-// Design: the key space is split across `shards` independent LRU maps by
-// mixed key hash; each shard is an intrusive (std::list + unordered_map)
-// LRU guarded by its own mutex, so concurrent readers on different shards
-// never contend and readers on the same shard only serialize for the
-// duration of a find + splice + copy-out. Capacity is byte-bounded:
-// every entry carries a caller-supplied byte charge and each shard evicts
-// from its LRU tail once its slice of the budget is exceeded.
+// Design: the key space is split across `shards` independent tables by
+// mixed key hash; each shard is guarded by its own mutex, so concurrent
+// readers on different shards never contend and readers on the same shard
+// only serialize for the duration of a probe + copy-out. A shard is one
+// flat table:
 //
-// The hit path performs no heap allocations (hash find, list splice, and
+//   * a slot array: each slot holds a key, its mixed 64-bit hash, the
+//     value, the value's byte charge and a CLOCK reference bit;
+//   * an open-addressed index of slot numbers, linear probing, kept at
+//     most half full; a removal shifts the rest of its probe chain back
+//     (no tombstones);
+//   * a free-slot list and a CLOCK hand over the slot array.
+//
+// A hit compares the stored hash, then the key, and sets the slot's
+// reference bit; it writes nothing else. Eviction is CLOCK (second
+// chance): the hand sweeps the slots, clears each set bit it passes and
+// takes the first live slot whose bit is clear. A new key takes a free
+// slot, or appends one, while the shard has room for another entry of its
+// mean charge; otherwise it recycles the CLOCK victim's slot. InsertWith
+// hands the caller that slot's value to overwrite in place, so a recycled
+// value keeps the heap capacity its vectors grew to and a warm miss
+// allocates nothing. The byte charge a fill returns must count that
+// retained capacity (plus SlotBytes() for the slot itself), so the budget
+// bounds real memory: each shard evicts CLOCK victims once its slice of
+// the budget is exceeded, and a slot freed that way drops its value's
+// memory. An entry larger than the whole slice is admitted and then
+// evicted (the shard ends empty), so pathological values cannot wedge the
+// budget.
+//
+// The hit path performs no heap allocations (a probe, a bit write, and
 // whatever the caller's accept functor does — typically a copy into a
 // pre-sized buffer), which keeps the zero-alloc steady-state contract of
 // the query hot path (BENCH_baseline.json pins pt2pt at 0 allocs/query
@@ -26,10 +47,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,12 +96,13 @@ struct CacheStats {
   size_t bytes = 0;
 };
 
-/// N-way sharded byte-bounded LRU map. `Hash` must be stateless.
+/// N-way sharded byte-bounded CLOCK map. `Hash` must be stateless.
 ///
-/// Thread-safety: Lookup / Insert / Clear / GetStats may be called from
-/// any number of threads concurrently. Values are only ever observed
-/// under the owning shard's lock (via Lookup's accept functor), so Value
-/// needs no synchronization of its own; it must be copyable.
+/// Thread-safety: Lookup / Insert / InsertWith / Mutate / Clear / GetStats
+/// may be called from any number of threads concurrently. Values are only
+/// ever observed under the owning shard's lock (via the caller's functor),
+/// so Value needs no synchronization of its own; it must be default-
+/// constructible and movable.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedCache {
  public:
@@ -98,19 +119,27 @@ class ShardedCache {
     for (size_t s = shards_.size(); s > 1; s >>= 1) ++shard_bits_;
   }
 
-  /// Looks up `key`; on a bucket hit calls `accept(value)` under the shard
-  /// lock. `accept` returns whether the entry is truly usable (e.g. an
-  /// exact-point match behind a quantized key); only then is the entry
-  /// promoted to MRU and the lookup counted as a hit. Returns the accept
+  /// What one entry costs its shard before any heap memory its value
+  /// holds: the slot itself and its two buckets of the index (which
+  /// stays at most half full). A caller's charge starts from this.
+  static constexpr size_t SlotBytes() {
+    return sizeof(Slot) + 2 * sizeof(uint32_t);
+  }
+
+  /// Looks up `key`; on a hit calls `accept(value)` under the shard lock.
+  /// `accept` returns whether the entry is truly usable (e.g. an
+  /// exact-point match behind a quantized key); only then is the entry's
+  /// reference bit set and the lookup counted as a hit. Returns the accept
   /// verdict (false on absent key). Allocation-free.
   template <typename Fn>
   bool Lookup(const Key& key, Fn&& accept) {
-    Shard& shard = ShardFor(key);
+    const uint64_t h = HashOf(key);
+    Shard& shard = ShardFor(h);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end() && accept(it->second->value)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      const uint32_t s = shard.index[Probe(shard, key, h)];
+      if (s != kNoSlot && accept(std::as_const(shard.slots[s].value))) {
+        shard.slots[s].referenced = true;
         hits_.fetch_add(1, std::memory_order_relaxed);
         if (counters_.hits != nullptr) counters_.hits->Increment();
         return true;
@@ -121,87 +150,96 @@ class ShardedCache {
     return false;
   }
 
-  /// Inserts (or replaces) `key` with a `bytes`-byte charge, then evicts
-  /// LRU entries until the shard is back under its slice of the budget.
-  /// An entry larger than the whole slice is admitted and immediately
-  /// evicted (the shard ends empty), so pathological values cannot wedge
-  /// the budget.
+  /// Inserts (or replaces) `key` with `value` and a `bytes`-byte charge;
+  /// see InsertWith.
   void Insert(const Key& key, Value value, size_t bytes) {
-    Shard& shard = ShardFor(key);
-    const size_t shard_capacity = capacity_bytes_ / shards_.size();
+    InsertWith(key, [&](Value& slot_value) {
+      slot_value = std::move(value);
+      return bytes;
+    });
+  }
+
+  /// Inserts (or replaces) `key`, calling `fill(value)` under the shard
+  /// lock to write the entry's value in place; `fill` returns the entry's
+  /// byte charge. `value` is the replaced entry's, a recycled victim's
+  /// (with whatever capacity its members kept), or default-constructed;
+  /// `fill` must overwrite every field. A replaced entry's reference bit
+  /// is set; a new one starts clear. Then evicts CLOCK victims other than
+  /// this entry until the shard is back under its slice of the budget,
+  /// and this entry last if it alone exceeds the slice (the shard then
+  /// ends empty).
+  template <typename Fn>
+  void InsertWith(const Key& key, Fn&& fill) {
+    const uint64_t h = HashOf(key);
+    Shard& shard = ShardFor(h);
     uint64_t evicted = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        shard.bytes -= it->second->bytes;
-        it->second->value = std::move(value);
-        it->second->bytes = bytes;
-        shard.bytes += bytes;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      uint32_t s = shard.index[Probe(shard, key, h)];
+      if (s != kNoSlot) {
+        Slot& slot = shard.slots[s];
+        shard.bytes -= slot.bytes;
+        slot.bytes = fill(slot.value);
+        slot.referenced = true;
+        shard.bytes += slot.bytes;
       } else {
-        shard.lru.push_front(Entry{key, std::move(value), bytes});
-        shard.map.emplace(key, shard.lru.begin());
-        shard.bytes += bytes;
+        s = TakeSlot(shard, &evicted);
+        Slot& slot = shard.slots[s];
+        slot.bytes = fill(slot.value);
+        slot.key = key;
+        slot.hash = h;
+        slot.referenced = false;
+        slot.live = true;
+        ++shard.live;
+        shard.bytes += slot.bytes;
+        Place(shard, s);
       }
-      while (shard.bytes > shard_capacity && !shard.lru.empty()) {
-        const Entry& tail = shard.lru.back();
-        shard.bytes -= tail.bytes;
-        shard.map.erase(tail.key);
-        shard.lru.pop_back();
-        ++evicted;
-      }
+      evicted += EvictOverBudget(shard, s);
     }
     insertions_.fetch_add(1, std::memory_order_relaxed);
     if (counters_.insertions != nullptr) counters_.insertions->Increment();
-    if (evicted > 0) {
-      evictions_.fetch_add(evicted, std::memory_order_relaxed);
-      if (counters_.evictions != nullptr) counters_.evictions->Add(evicted);
-    }
+    CountEvictions(evicted);
   }
 
   /// Finds `key` and calls `mutate(value)` under the shard lock (in-place
-  /// repair of a stale entry), promoting the entry to MRU. `mutate`
-  /// returns the entry's new byte charge; if the entry grew past the
-  /// shard's budget slice, colder entries are evicted. Returns false when
-  /// the key is absent (e.g. concurrently evicted) — the caller's repair
-  /// then simply isn't persisted. Counted as neither hit nor miss: the
-  /// probe that found the entry stale already counted.
+  /// repair of a stale entry), setting the entry's reference bit.
+  /// `mutate` returns the entry's new byte charge; if the entry grew past
+  /// the shard's budget slice, other entries are evicted (and this one
+  /// last, as in InsertWith). Returns false when the key is absent (e.g.
+  /// concurrently evicted) — the caller's repair then simply isn't
+  /// persisted. Counted as neither hit nor miss: the probe that found the
+  /// entry stale already counted.
   template <typename Fn>
   bool Mutate(const Key& key, Fn&& mutate) {
-    Shard& shard = ShardFor(key);
-    const size_t shard_capacity = capacity_bytes_ / shards_.size();
+    const uint64_t h = HashOf(key);
+    Shard& shard = ShardFor(h);
     uint64_t evicted = 0;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.map.find(key);
-      if (it == shard.map.end()) return false;
-      shard.bytes -= it->second->bytes;
-      it->second->bytes = mutate(it->second->value);
-      shard.bytes += it->second->bytes;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      while (shard.bytes > shard_capacity && !shard.lru.empty()) {
-        const Entry& tail = shard.lru.back();
-        shard.bytes -= tail.bytes;
-        shard.map.erase(tail.key);
-        shard.lru.pop_back();
-        ++evicted;
-      }
+      const uint32_t s = shard.index[Probe(shard, key, h)];
+      if (s == kNoSlot) return false;
+      Slot& slot = shard.slots[s];
+      shard.bytes -= slot.bytes;
+      slot.bytes = mutate(slot.value);
+      slot.referenced = true;
+      shard.bytes += slot.bytes;
+      evicted = EvictOverBudget(shard, s);
     }
-    if (evicted > 0) {
-      evictions_.fetch_add(evicted, std::memory_order_relaxed);
-      if (counters_.evictions != nullptr) counters_.evictions->Add(evicted);
-    }
+    CountEvictions(evicted);
     return true;
   }
 
-  /// Drops every entry (write-path invalidation). Traffic counters keep
-  /// their values; entries/bytes drop to zero.
+  /// Drops every entry and releases the shards' memory (write-path
+  /// invalidation). Traffic counters keep their values; entries/bytes drop
+  /// to zero.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-      shard.lru.clear();
+      shard.slots = {};
+      shard.index = EmptyIndex();
+      shard.free = {};
+      shard.hand = 0;
+      shard.live = 0;
       shard.bytes = 0;
     }
   }
@@ -214,7 +252,7 @@ class ShardedCache {
     stats.insertions = insertions_.load(std::memory_order_relaxed);
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      stats.entries += shard.map.size();
+      stats.entries += shard.live;
       stats.bytes += shard.bytes;
     }
     return stats;
@@ -224,22 +262,154 @@ class ShardedCache {
   size_t shard_count() const { return shards_.size(); }
 
  private:
-  struct Entry {
-    Key key;
-    Value value;
-    size_t bytes;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;  // empty index bucket
+  static constexpr size_t kMinIndex = 8;
+
+  struct Slot {
+    uint64_t hash = 0;  // mixed; its low bits pick the home bucket
+    Key key{};
+    Value value{};
+    size_t bytes = 0;
+    bool referenced = false;  // CLOCK bit: set by a hit, cleared by the hand
+    bool live = false;        // false while on the free list
   };
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> map;
+    std::vector<Slot> slots;
+    std::vector<uint32_t> index = EmptyIndex();  // slot numbers or kNoSlot
+    std::vector<uint32_t> free;                  // dead slot numbers
+    uint32_t hand = 0;                           // CLOCK hand into slots
+    size_t live = 0;
     size_t bytes = 0;
   };
 
-  Shard& ShardFor(const Key& key) {
+  static std::vector<uint32_t> EmptyIndex() {
+    return std::vector<uint32_t>(kMinIndex, kNoSlot);
+  }
+
+  static uint64_t HashOf(const Key& key) {
+    return internal::MixHash(Hash{}(key));
+  }
+
+  Shard& ShardFor(uint64_t h) {
     if (shard_bits_ == 0) return shards_[0];
-    const uint64_t mixed = internal::MixHash(Hash{}(key));
-    return shards_[mixed >> (64 - shard_bits_)];
+    return shards_[h >> (64 - shard_bits_)];
+  }
+
+  /// Index position holding `key`, or the empty bucket that ends its probe
+  /// chain. Terminates because the index is at most half full.
+  static size_t Probe(const Shard& shard, const Key& key, uint64_t h) {
+    const size_t mask = shard.index.size() - 1;
+    for (size_t pos = h & mask;; pos = (pos + 1) & mask) {
+      const uint32_t s = shard.index[pos];
+      if (s == kNoSlot) return pos;
+      const Slot& slot = shard.slots[s];
+      if (slot.hash == h && slot.key == key) return pos;
+    }
+  }
+
+  /// Stores slot `s` in the first empty bucket of its probe chain.
+  static void Place(Shard& shard, uint32_t s) {
+    const size_t mask = shard.index.size() - 1;
+    size_t pos = shard.slots[s].hash & mask;
+    while (shard.index[pos] != kNoSlot) pos = (pos + 1) & mask;
+    shard.index[pos] = s;
+  }
+
+  /// Removes slot `s` from the index, shifting each later entry of the
+  /// probe chain back into the hole unless that would move it before its
+  /// home bucket.
+  static void Unlink(Shard& shard, uint32_t s) {
+    const size_t mask = shard.index.size() - 1;
+    size_t hole = shard.slots[s].hash & mask;
+    while (shard.index[hole] != s) hole = (hole + 1) & mask;
+    for (size_t pos = (hole + 1) & mask;; pos = (pos + 1) & mask) {
+      const uint32_t next = shard.index[pos];
+      if (next == kNoSlot) break;
+      const size_t home = shard.slots[next].hash & mask;
+      if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+        shard.index[hole] = next;
+        hole = pos;
+      }
+    }
+    shard.index[hole] = kNoSlot;
+  }
+
+  /// Advances the CLOCK hand to the first live slot other than `keep`
+  /// whose reference bit is clear, clearing every set bit it passes. The
+  /// shard must hold such a slot; one full turn clears every bit, so the
+  /// sweep ends within two.
+  static uint32_t ClockVictim(Shard& shard, uint32_t keep) {
+    for (;;) {
+      const uint32_t s = shard.hand;
+      shard.hand = s + 1 == shard.slots.size() ? 0 : s + 1;
+      Slot& slot = shard.slots[s];
+      if (!slot.live || s == keep) continue;
+      if (slot.referenced) {
+        slot.referenced = false;
+        continue;
+      }
+      return s;
+    }
+  }
+
+  /// Takes live slot `s` out of the index and the shard's totals; its
+  /// value stays in place for the caller to recycle or release.
+  static void Detach(Shard& shard, uint32_t s) {
+    Unlink(shard, s);
+    Slot& slot = shard.slots[s];
+    slot.live = false;
+    --shard.live;
+    shard.bytes -= slot.bytes;
+  }
+
+  /// A dead slot for a new key: a free one, or a new one, while the shard
+  /// has room for another entry of its mean charge; otherwise the CLOCK
+  /// victim's, value and all (counted in `*evicted`).
+  uint32_t TakeSlot(Shard& shard, uint64_t* evicted) {
+    const size_t capacity = capacity_bytes_ / shards_.size();
+    if (shard.live > 0 && shard.bytes + shard.bytes / shard.live > capacity) {
+      const uint32_t s = ClockVictim(shard, kNoSlot);
+      Detach(shard, s);
+      ++*evicted;
+      return s;
+    }
+    if (!shard.free.empty()) {
+      const uint32_t s = shard.free.back();
+      shard.free.pop_back();
+      return s;
+    }
+    shard.slots.emplace_back();
+    if (shard.slots.size() > shard.index.size() / 2) {
+      shard.index.assign(2 * shard.index.size(), kNoSlot);
+      for (uint32_t s = 0; s < shard.slots.size(); ++s) {
+        if (shard.slots[s].live) Place(shard, s);
+      }
+    }
+    return static_cast<uint32_t>(shard.slots.size() - 1);
+  }
+
+  /// Evicts CLOCK victims other than `keep` while the shard is over its
+  /// slice and holds another entry, then `keep` itself if it alone
+  /// exceeds the slice. Each victim's slot goes on the free list with its
+  /// value's memory released. Returns the number evicted.
+  uint64_t EvictOverBudget(Shard& shard, uint32_t keep) {
+    const size_t capacity = capacity_bytes_ / shards_.size();
+    uint64_t evicted = 0;
+    while (shard.bytes > capacity && shard.live > 0) {
+      const uint32_t s = shard.live > 1 ? ClockVictim(shard, keep) : keep;
+      Detach(shard, s);
+      shard.slots[s].value = Value{};
+      shard.free.push_back(s);
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  void CountEvictions(uint64_t evicted) {
+    if (evicted == 0) return;
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    if (counters_.evictions != nullptr) counters_.evictions->Add(evicted);
   }
 
   internal::CacheCounters counters_;

@@ -6,9 +6,10 @@
 // bitwise-identical results to an uncached engine over the same plan, for
 // every query kind, on randomized buildings with and without obstructed
 // rooms — the cache is a pure work-sharing layer, never an approximation.
-// The suite also covers the generic ShardedCache (LRU eviction under a
-// tiny budget), write invalidation, QueryScratch capacity decay, and a
-// concurrent hit/miss stress that CI runs under TSan.
+// The suite also covers the generic ShardedCache (CLOCK eviction under a
+// tiny budget, slot recycling, and a differential test of one shard
+// against a model), write invalidation, QueryScratch capacity decay, and
+// a concurrent hit/miss stress that CI runs under TSan.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,9 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -90,7 +94,7 @@ TEST(ShardedCacheTest, EvictsLeastRecentlyUsedUnderTinyCapacity) {
   ShardedCache<int, int> cache(128, 1, "");
   cache.Insert(1, 100, 64);
   cache.Insert(2, 200, 64);
-  // Touch 1 so 2 becomes the LRU victim.
+  // Touch 1 so 2 becomes the victim: CLOCK spares the referenced entry.
   EXPECT_TRUE(cache.Lookup(1, [](const int&) { return true; }));
   cache.Insert(3, 300, 64);
   EXPECT_TRUE(cache.Lookup(1, [](const int&) { return true; }));
@@ -127,6 +131,267 @@ TEST(ShardedCacheTest, ClearEmptiesEveryShard) {
   for (int i = 0; i < 64; ++i) {
     EXPECT_FALSE(cache.Lookup(i, [](const int&) { return true; }));
   }
+}
+
+// A referenced entry gets one second chance per turn of the CLOCK hand,
+// not immunity: with no further hits, the hand clears its bit on one pass
+// and evicts it on the next.
+TEST(ShardedCacheTest, ReferencedEntryGetsOneSecondChance) {
+  // One shard, room for exactly three 64-byte entries.
+  ShardedCache<int, int> cache(192, 1, "");
+  for (int key = 1; key <= 3; ++key) cache.Insert(key, key, 64);
+  EXPECT_TRUE(cache.Lookup(1, [](const int&) { return true; }));
+  // Reads without setting a reference bit: a refusing accept is a miss.
+  const auto live = [&cache](int key) {
+    bool seen = false;
+    cache.Lookup(key, [&seen](const int&) {
+      seen = true;
+      return false;
+    });
+    return seen;
+  };
+  cache.Insert(4, 4, 64);
+  EXPECT_TRUE(live(1)) << "the referenced entry was not spared";
+  EXPECT_FALSE(live(2)) << "the first unreferenced entry was not the victim";
+  // Two more turns' worth of unreferenced inserts: key 1 must go.
+  for (int key = 5; key <= 10; ++key) cache.Insert(key, key, 64);
+  EXPECT_FALSE(live(1)) << "a referenced bit was never cleared";
+  EXPECT_EQ(cache.GetStats().entries, 3u);
+}
+
+// Keys that share one raw hash share one mixed hash and so one home
+// bucket. MixHash is a bijection, so searching raw values finds ones
+// whose home is the index's last bucket (probe chains wrap to bucket 0),
+// its first, or elsewhere, for every index of up to 2^16 buckets.
+uint64_t RawHashWithLowBits(uint64_t low16, uint64_t skip) {
+  for (uint64_t raw = 0;; ++raw) {
+    if ((internal::MixHash(raw) & 0xffff) == low16 && skip-- == 0) {
+      return raw;
+    }
+  }
+}
+
+struct FewHomesHash {
+  size_t operator()(int key) const {
+    static const uint64_t homes[4] = {
+        RawHashWithLowBits(0xffff, 0), RawHashWithLowBits(0xffff, 1),
+        RawHashWithLowBits(0x0000, 0), RawHashWithLowBits(0x5555, 0)};
+    return static_cast<size_t>(homes[key % 4]);
+  }
+};
+
+// Differential test of one shard against a model of its live entries.
+// Every key hashes to one of four home buckets, so probe chains are long,
+// wrap the index, and interleave, and each eviction or replacement
+// exercises the backward shift. After every call the live set, the values
+// read, and GetStats' entries, bytes, hits and evictions must agree with
+// the model, and the byte budget must hold.
+TEST(ShardedCacheTest, DifferentialAgainstModelWithCollidingHashes) {
+  using Cache = ShardedCache<int, std::vector<int>, FewHomesHash>;
+  constexpr size_t kCapacity = 1024;
+  constexpr int kKeys = 48;
+  struct Live {
+    std::vector<int> value;
+    size_t bytes;
+  };
+  Cache cache(kCapacity, 1, "");
+  std::map<int, Live> model;
+  uint64_t hits = 0;
+  uint64_t evictions = 0;
+  Rng rng(2024);
+  for (int step = 0; step < 4000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const int key = static_cast<int>(rng.NextU64(kKeys));
+    std::vector<int> value(rng.NextU64(9), step);
+    const uint64_t op = rng.NextU64(200);
+    int written = -1;  // key an insert or mutate wrote, if any
+    size_t written_bytes = 0;
+    if (op < 60) {
+      // Now and then an entry larger than the whole slice.
+      written_bytes = op == 0 ? kCapacity + 1 : 8 + rng.NextU64(113);
+      cache.Insert(key, value, written_bytes);
+      written = key;
+      model[key] = {value, written_bytes};
+    } else if (op < 120) {
+      cache.InsertWith(key, [&](std::vector<int>& slot) {
+        slot.assign(value.begin(), value.end());
+        written_bytes = 16 + slot.capacity() * sizeof(int);
+        return written_bytes;
+      });
+      written = key;
+      model[key] = {value, written_bytes};
+    } else if (op < 160) {
+      const bool take = rng.NextBool();
+      bool called = false;
+      const bool hit = cache.Lookup(key, [&](const std::vector<int>& got) {
+        called = true;
+        EXPECT_TRUE(model.count(key) != 0 && got == model[key].value);
+        return take;
+      });
+      EXPECT_EQ(called, model.count(key) != 0);
+      EXPECT_EQ(hit, called && take);
+      if (hit) ++hits;
+    } else if (op < 199) {
+      const bool found = cache.Mutate(key, [&](std::vector<int>& slot) {
+        slot.push_back(step);
+        written_bytes = 16 + slot.capacity() * sizeof(int);
+        return written_bytes;
+      });
+      EXPECT_EQ(found, model.count(key) != 0);
+      if (found) {
+        written = key;
+        model[key].value.push_back(step);
+        model[key].bytes = written_bytes;
+      }
+    } else {
+      cache.Clear();
+      model.clear();
+    }
+
+    // Read every key back without setting reference bits: an accept
+    // functor that refuses counts a miss and leaves CLOCK state alone.
+    size_t live = 0;
+    size_t bytes = 0;
+    for (int k = 0; k < kKeys; ++k) {
+      bool seen = false;
+      cache.Lookup(k, [&](const std::vector<int>& got) {
+        seen = true;
+        EXPECT_TRUE(model.count(k) != 0 && got == model[k].value)
+            << "key " << k << " is live with a value the model lacks";
+        return false;
+      });
+      if (seen) {
+        ++live;
+        bytes += model[k].bytes;
+      } else if (model.erase(k) != 0) {
+        ++evictions;  // evicted by this step
+        EXPECT_NE(written, -1) << "a lookup evicted key " << k;
+      }
+    }
+    const CacheStats stats = cache.GetStats();
+    ASSERT_EQ(stats.entries, live);
+    ASSERT_EQ(stats.entries, model.size());
+    ASSERT_EQ(stats.bytes, bytes);
+    ASSERT_EQ(stats.hits, hits);
+    ASSERT_EQ(stats.evictions, evictions);
+    ASSERT_LE(stats.bytes, kCapacity);
+    if (written != -1) {
+      // The written entry survives unless it alone exceeds the slice,
+      // which leaves the shard empty.
+      if (written_bytes > kCapacity) {
+        ASSERT_EQ(stats.entries, 0u);
+      } else {
+        ASSERT_EQ(model.count(written), 1u);
+      }
+    }
+  }
+  EXPECT_GT(evictions, 500u);
+}
+
+// InsertWith recycles the CLOCK victim's slot in place: the new value
+// starts from the victim's, with its vector capacity.
+TEST(ShardedCacheTest, RecycledSlotKeepsItsValueCapacity) {
+  ShardedCache<int, std::vector<double>> cache(1024, 1, "");
+  const auto fill = [](size_t n, size_t* capacity_seen) {
+    return [n, capacity_seen](std::vector<double>& slot) {
+      *capacity_seen = slot.capacity();
+      slot.assign(n, 1.0);
+      return 800 + slot.capacity() * sizeof(double);
+    };
+  };
+  size_t seen = 0;
+  cache.InsertWith(1, fill(20, &seen));
+  EXPECT_EQ(seen, 0u);
+  cache.InsertWith(2, fill(3, &seen));  // no room for a second entry
+  EXPECT_GE(seen, 20u) << "the new key did not get the victim's slot";
+  const CacheStats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, 800 + seen * sizeof(double));
+}
+
+// A recycled field slot keeps the legs' capacity, and QueryCache charges
+// that capacity, not the legs' size: after a small field takes a larger
+// field's slot, the shard's bytes stay where the larger field put them.
+TEST(QueryCacheEvictionTest, RecycledFieldSlotIsChargedItsCapacity) {
+  const FloorPlan plan = GenerateBuilding(SmallBuilding(141, 0.5));
+  const IndexFramework index(plan, CacheOptions(false));
+  Rng rng(142);
+  Point big_p, small_p;
+  PartitionId big = kInvalidId, small = kInvalidId;
+  for (const Point& p : GenerateQueryPositions(plan, 400, &rng)) {
+    const PartitionId v = index.locator().GetHostPartition(p).value();
+    const size_t n = plan.LeaveDoors(v).size();
+    if (big == kInvalidId || n > plan.LeaveDoors(big).size()) {
+      big = v;
+      big_p = p;
+    }
+    if (n > 0 && (small == kInvalidId || n < plan.LeaveDoors(small).size())) {
+      small = v;
+      small_p = p;
+    }
+  }
+  ASSERT_LT(plan.LeaveDoors(small).size(), plan.LeaveDoors(big).size());
+
+  const auto legs = [&](const QueryCache* cache, PartitionId v,
+                        const Point& p) {
+    std::vector<double> out(plan.LeaveDoors(v).size());
+    GeodesicScratch geo;
+    CachedFieldLegs(cache, index.locator(), FieldKind::kLeaveFrom, v, p,
+                    plan.LeaveDoors(v), &geo, out.data());
+    return out;
+  };
+  QueryCacheOptions options;
+  options.shards = 1;
+  size_t big_bytes = 0;
+  {
+    const QueryCache roomy(plan, index.locator(), index.objects(), options);
+    legs(&roomy, big, big_p);
+    big_bytes = roomy.FieldStats().bytes;
+  }
+  // Room for the big field's entry alone.
+  options.field_capacity_bytes = big_bytes;
+  const QueryCache tight(plan, index.locator(), index.objects(), options);
+  legs(&tight, big, big_p);
+  EXPECT_EQ(tight.FieldStats().bytes, big_bytes);
+  EXPECT_EQ(legs(&tight, small, small_p), legs(nullptr, small, small_p));
+  const CacheStats stats = tight.FieldStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, big_bytes)
+      << "the recycled slot's charge dropped its retained capacity";
+}
+
+// The same for a result slot: a smaller range result that takes a larger
+// one's slot is charged the ids' retained capacity.
+TEST(QueryCacheEvictionTest, RecycledResultSlotIsChargedItsCapacity) {
+  const FloorPlan plan = MakeRunningExamplePlan();
+  const IndexFramework index(plan, CacheOptions(false));
+  std::vector<ObjectId> many(100);
+  std::iota(many.begin(), many.end(), 0);
+  const std::vector<ObjectId> few(many.begin(), many.begin() + 10);
+  const PartitionId deps[] = {0};
+  const Point q(1, 1);
+  QueryCacheOptions options;
+  options.shards = 1;
+  size_t many_bytes = 0;
+  {
+    const QueryCache roomy(plan, index.locator(), index.objects(), options);
+    roomy.InsertRangeResult(q, 1.0, /*kind=*/0, deps, {}, many);
+    many_bytes = roomy.ResultStats().bytes;
+  }
+  options.result_capacity_bytes = many_bytes;  // room for one such entry
+  const QueryCache tight(plan, index.locator(), index.objects(), options);
+  tight.InsertRangeResult(q, 1.0, /*kind=*/0, deps, {}, many);
+  tight.InsertRangeResult(q, 2.0, /*kind=*/0, deps, {}, few);
+  std::vector<ObjectId> out;
+  EXPECT_TRUE(tight.LookupRangeResult(q, 2.0, /*kind=*/0, &out));
+  EXPECT_EQ(out, few);
+  const CacheStats stats = tight.ResultStats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, many_bytes)
+      << "the recycled slot's charge dropped its retained capacity";
 }
 
 // ------------------------------------------- cached vs uncached exactness

@@ -48,6 +48,7 @@ class BucketQueue {
  public:
   /// Queue entry: (tentative distance, door), ordered lexicographically.
   using Entry = std::pair<double, DoorId>;
+  using value_type = Entry;
 
   /// Re-arms the queue for one Dijkstra run over a graph whose edge
   /// weights are at most `max_edge_weight`. Keeps bucket capacity across

@@ -29,8 +29,8 @@ class DistanceIndexMatrix {
   explicit DistanceIndexMatrix(const DistanceMatrix& matrix,
                                unsigned threads = 1);
 
-  /// Adopts a pre-computed payload of n*n row-major door ids (binary
-  /// loader, index_io.h).
+  /// Adopts a pre-computed payload of n*n row-major door ids (the
+  /// container's read path, LoadIndexContainer in index_io.h).
   static DistanceIndexMatrix FromRaw(size_t n, std::vector<DoorId> data);
 
   /// Borrows a pre-computed payload without copying (mmap-ed container);

@@ -25,8 +25,9 @@ class DistanceMatrix {
   /// (0 = use the hardware concurrency; 1 = sequential).
   explicit DistanceMatrix(const DistanceGraph& graph, unsigned threads = 1);
 
-  /// Adopts a pre-computed payload (used by the binary loader, index_io.h).
-  /// `data` must hold n*n row-major entries.
+  /// Adopts a pre-computed payload (the container's read path,
+  /// LoadIndexContainer in index_io.h). `data` must hold n*n row-major
+  /// entries.
   static DistanceMatrix FromRaw(size_t n, std::vector<double> data);
 
   /// Borrows a pre-computed payload of n*n row-major entries without

@@ -40,7 +40,8 @@ class DoorPartitionTable {
   explicit DoorPartitionTable(const DistanceGraph& graph,
                               unsigned threads = 1);
 
-  /// Adopts pre-computed records (binary loader, index_io.h).
+  /// Adopts pre-computed records (the container's read path,
+  /// LoadIndexContainer in index_io.h).
   static DoorPartitionTable FromRaw(std::vector<DptRecord> records);
 
   /// Borrows `count` pre-computed records without copying (mmap-ed

@@ -64,6 +64,9 @@ struct Neighbor {
 /// per-thread scratch reuse the buffer allocation-free across queries.
 class KnnCollector {
  public:
+  /// A held candidate: (distance, id).
+  using value_type = std::pair<double, ObjectId>;
+
   explicit KnnCollector(size_t k);
 
   /// Re-arms the collector for a new query, keeping buffer capacity.
@@ -98,7 +101,7 @@ class KnnCollector {
  private:
   size_t k_;
   // (distance, id), ascending; at most k entries.
-  std::vector<std::pair<double, ObjectId>> entries_;
+  std::vector<value_type> entries_;
 };
 
 /// A range query's result as one bit per object id, over caller-owned

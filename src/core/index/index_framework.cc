@@ -127,7 +127,6 @@ void IndexFramework::BuildStructures(IndexArtifacts* artifacts) {
   hotness_.Reset(plan_->partition_count());
   if (options_.enable_query_cache) {
     QueryCacheOptions cache_options;
-    cache_options.quantum = options_.cache_quantum;
     cache_options.field_capacity_bytes = options_.cache_capacity_bytes -
                                          options_.cache_capacity_bytes / 4;
     cache_options.host_capacity_bytes = options_.cache_capacity_bytes / 4;

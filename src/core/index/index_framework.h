@@ -78,9 +78,6 @@ struct IndexOptions {
   /// off for purity-sensitive comparisons (the reference implementations
   /// never consult it either way).
   bool enable_query_cache = true;
-  /// Quantization grid edge for cache keys (plan units). Collisions only
-  /// cost a re-solve, never exactness.
-  double cache_quantum = 0.25;
   /// Cache byte budget for the geometry caches (3/4 distance fields, 1/4
   /// host lookups); the range/kNN result cache gets an additional 1/4 of
   /// this on top.

@@ -1,6 +1,7 @@
 #include "core/index/index_io.h"
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -22,9 +23,6 @@
 namespace indoor {
 namespace {
 
-constexpr uint64_t kMagic = 0x49444D3244303146ULL;  // "IDM2D01F"
-constexpr uint64_t kLandmarkMagic = 0x49444C4D4B303146ULL;  // "IDLMK01F"
-
 uint64_t Mix(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
   h *= 0xBF58476D1CE4E5B9ULL;
@@ -40,12 +38,6 @@ uint64_t MixDouble(uint64_t h, double v) {
 template <typename T>
 void WritePod(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
 }
 
 }  // namespace
@@ -77,156 +69,6 @@ uint64_t PlanDistanceFingerprint(const FloorPlan& plan) {
     }
   }
   return h;
-}
-
-Status SaveDistanceMatrix(const DistanceMatrix& matrix,
-                          const FloorPlan& plan, const std::string& path) {
-  if (matrix.door_count() != plan.door_count()) {
-    return Status::InvalidArgument(
-        "matrix door count does not match the plan");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  WritePod(out, kMagic);
-  WritePod(out, PlanDistanceFingerprint(plan));
-  const uint64_t n = matrix.door_count();
-  WritePod(out, n);
-  for (DoorId d = 0; d < n; ++d) {
-    out.write(reinterpret_cast<const char*>(matrix.Row(d)),
-              static_cast<std::streamsize>(n * sizeof(double)));
-  }
-  WritePod(out, kMagic);  // trailer guards truncation
-  if (!out) {
-    return Status::IOError("failed writing '" + path + "'");
-  }
-  return Status::OK();
-}
-
-Result<DistanceMatrix> LoadDistanceMatrix(const FloorPlan& plan,
-                                          const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  uint64_t magic = 0, fingerprint = 0, n = 0;
-  if (!ReadPod(in, &magic) || magic != kMagic) {
-    return Status::ParseError("'" + path + "' is not a distance matrix file");
-  }
-  if (!ReadPod(in, &fingerprint)) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  if (fingerprint != PlanDistanceFingerprint(plan)) {
-    return Status::FailedPrecondition(
-        "'" + path + "' was computed for a different floor plan");
-  }
-  if (!ReadPod(in, &n)) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  if (n != plan.door_count()) {
-    return Status::FailedPrecondition("door count mismatch in '" + path +
-                                      "'");
-  }
-  std::vector<double> data(n * n);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(data.size() * sizeof(double)));
-  if (!in) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  uint64_t trailer = 0;
-  if (!ReadPod(in, &trailer) || trailer != kMagic) {
-    return Status::ParseError("'" + path + "' has a corrupt trailer");
-  }
-  return DistanceMatrix::FromRaw(n, std::move(data));
-}
-
-Status SaveLandmarkIndex(const LandmarkIndex& landmarks,
-                         const FloorPlan& plan, const std::string& path) {
-  if (!landmarks.valid() || landmarks.door_count() != plan.door_count()) {
-    return Status::InvalidArgument(
-        "landmark index does not match the plan (or is empty)");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  WritePod(out, kLandmarkMagic);
-  WritePod(out, PlanDistanceFingerprint(plan));
-  const uint64_t n = landmarks.door_count();
-  const uint64_t count = landmarks.count();
-  WritePod(out, n);
-  WritePod(out, count);
-  for (const DoorId d : landmarks.doors()) WritePod(out, d);
-  // Transposed per-door rows, doors-major (the in-memory layout).
-  for (DoorId d = 0; d < n; ++d) {
-    out.write(reinterpret_cast<const char*>(landmarks.ForwardRow(d)),
-              static_cast<std::streamsize>(count * sizeof(double)));
-  }
-  for (DoorId d = 0; d < n; ++d) {
-    out.write(reinterpret_cast<const char*>(landmarks.BackwardRow(d)),
-              static_cast<std::streamsize>(count * sizeof(double)));
-  }
-  WritePod(out, kLandmarkMagic);  // trailer guards truncation
-  if (!out) {
-    return Status::IOError("failed writing '" + path + "'");
-  }
-  return Status::OK();
-}
-
-Result<LandmarkIndex> LoadLandmarkIndex(const FloorPlan& plan,
-                                        const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  uint64_t magic = 0, fingerprint = 0, n = 0, count = 0;
-  if (!ReadPod(in, &magic) || magic != kLandmarkMagic) {
-    return Status::ParseError("'" + path + "' is not a landmark index file");
-  }
-  if (!ReadPod(in, &fingerprint)) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  if (fingerprint != PlanDistanceFingerprint(plan)) {
-    return Status::FailedPrecondition(
-        "'" + path + "' was computed for a different floor plan");
-  }
-  if (!ReadPod(in, &n) || !ReadPod(in, &count)) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  if (n != plan.door_count()) {
-    return Status::FailedPrecondition("door count mismatch in '" + path +
-                                      "'");
-  }
-  if (count == 0 || count > LandmarkIndex::kMaxCount || count > n) {
-    return Status::ParseError("implausible landmark count in '" + path +
-                              "'");
-  }
-  std::vector<DoorId> doors(count);
-  for (DoorId& d : doors) {
-    if (!ReadPod(in, &d)) {
-      return Status::ParseError("'" + path + "' is truncated");
-    }
-    if (d >= n) {
-      return Status::ParseError("landmark door out of range in '" + path +
-                                "'");
-    }
-  }
-  std::vector<double> fwd(n * count);
-  std::vector<double> bwd(n * count);
-  in.read(reinterpret_cast<char*>(fwd.data()),
-          static_cast<std::streamsize>(fwd.size() * sizeof(double)));
-  in.read(reinterpret_cast<char*>(bwd.data()),
-          static_cast<std::streamsize>(bwd.size() * sizeof(double)));
-  if (!in) {
-    return Status::ParseError("'" + path + "' is truncated");
-  }
-  uint64_t trailer = 0;
-  if (!ReadPod(in, &trailer) || trailer != kLandmarkMagic) {
-    return Status::ParseError("'" + path + "' has a corrupt trailer");
-  }
-  return LandmarkIndex::FromRaw(n, std::move(doors), std::move(fwd),
-                                std::move(bwd));
 }
 
 // ---- The INDOORIX sectioned container ----------------------------------
@@ -377,10 +219,21 @@ std::vector<uint8_t> BuildMidxPayload(const DistanceIndexMatrix& m) {
 }
 
 std::vector<uint8_t> BuildDptPayload(const DoorPartitionTable& dpt) {
+  static_assert(sizeof(DptRecord) == 32 && offsetof(DptRecord, dist2) == 24,
+                "DPT records are mapped in place: layout per docs/FORMAT.md");
   PayloadBuilder b;
   b.Pod(static_cast<uint64_t>(dpt.size()));
   b.PadTo(kAlign);
-  b.Array(dpt.Records());
+  // Field by field, so the 4 padding bytes after part2 are written as
+  // zeros rather than whatever the memory under the record held.
+  for (const DptRecord& r : dpt.Records()) {
+    b.Pod(r.door);
+    b.Pod(r.part1);
+    b.Pod(r.dist1);
+    b.Pod(r.part2);
+    b.Pod(uint32_t{0});
+    b.Pod(r.dist2);
+  }
   return b.Take();
 }
 

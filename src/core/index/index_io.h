@@ -3,22 +3,17 @@
 // bench_ablation_matrix_build); a deployment computes it once and loads it
 // at startup.
 //
-// Two generations of formats live here:
-//
-//  * The legacy single-structure files (SaveDistanceMatrix /
-//    SaveLandmarkIndex): magic header, plan fingerprint, payload, magic
-//    trailer. Kept readable and writable for compatibility.
-//
-//  * The INDOORIX container (SaveIndexContainer / LoadIndexContainer /
-//    MapIndexContainer): ONE versioned, sectioned, mmap-able file holding
-//    every persistable structure of an IndexFramework — Md2d, Midx, DPT,
-//    landmark rows, and the hierarchy index. A 64-byte file header
-//    (magic, version, plan fingerprint, file size, section count, door and
-//    partition counts) is followed by a table of 32-byte section entries
-//    (8-char tag, 64-byte-aligned offset, size, checksum) and the
-//    payloads themselves, each starting on a 64-byte boundary so a mapped
-//    file serves array views in place; the final 8 bytes repeat the magic
-//    to guard truncation. docs/FORMAT.md specifies every byte.
+// The one on-disk format is the INDOORIX container (SaveIndexContainer /
+// LoadIndexContainer / MapIndexContainer): ONE versioned, sectioned,
+// mmap-able file holding every persistable structure of an
+// IndexFramework — Md2d, Midx, DPT, landmark rows, the hierarchy index and
+// the approximate-kNN embeddings. A 64-byte file header (magic, version,
+// plan fingerprint, file size, section count, door and partition counts)
+// is followed by a table of 32-byte section entries (8-char tag,
+// 64-byte-aligned offset, size, checksum) and the payloads themselves,
+// each starting on a 64-byte boundary so a mapped file serves array views
+// in place; the final 8 bytes repeat the magic to guard truncation.
+// docs/FORMAT.md specifies every byte.
 //
 // LoadIndexContainer reads the file into owning structures and verifies
 // every section checksum; MapIndexContainer mmaps it, performs structural
@@ -32,13 +27,11 @@
 #ifndef INDOOR_CORE_INDEX_INDEX_IO_H_
 #define INDOOR_CORE_INDEX_INDEX_IO_H_
 
+#include <cstdint>
 #include <string>
 
-#include "core/index/distance_index_matrix.h"
-#include "core/index/distance_matrix.h"
 #include "core/index/index_artifacts.h"
 #include "core/index/index_framework.h"
-#include "core/index/landmark_index.h"
 #include "indoor/floor_plan.h"
 #include "util/result.h"
 
@@ -47,29 +40,6 @@ namespace indoor {
 /// A fingerprint of the plan's doors and topology; two plans with equal
 /// fingerprints produce equal Md2d matrices.
 uint64_t PlanDistanceFingerprint(const FloorPlan& plan);
-
-/// Writes Md2d (and implicitly enough to rebuild Midx) for `plan`.
-Status SaveDistanceMatrix(const DistanceMatrix& matrix,
-                          const FloorPlan& plan, const std::string& path);
-
-/// Loads a matrix previously saved for a plan with the same fingerprint.
-/// Fails with FailedPrecondition when the plan changed, ParseError on a
-/// corrupt file, IOError when unreadable.
-Result<DistanceMatrix> LoadDistanceMatrix(const FloorPlan& plan,
-                                          const std::string& path);
-
-/// Writes the ALT landmark rows (core/index/landmark_index.h) for `plan`.
-/// Same versioning scheme as the distance matrix: magic header, plan
-/// distance fingerprint, magic trailer.
-Status SaveLandmarkIndex(const LandmarkIndex& landmarks,
-                         const FloorPlan& plan, const std::string& path);
-
-/// Loads a landmark index previously saved for a plan with the same
-/// fingerprint; error taxonomy as LoadDistanceMatrix.
-Result<LandmarkIndex> LoadLandmarkIndex(const FloorPlan& plan,
-                                        const std::string& path);
-
-// ---- The INDOORIX sectioned container ----------------------------------
 
 /// Container format version written by SaveIndexContainer. Version 2
 /// added the ANNX approximate-kNN embedding section; readers require an

@@ -52,8 +52,9 @@ class LandmarkIndex {
   /// invalid index when the plan has no doors.
   static LandmarkIndex Build(const DistanceGraph& graph, size_t count);
 
-  /// Adopts precomputed payloads (binary loader, index_io.h). `fwd` and
-  /// `bwd` are the transposed per-door rows, doors * count entries each.
+  /// Adopts precomputed payloads (Build, and the container's read path,
+  /// LoadIndexContainer in index_io.h). `fwd` and `bwd` are the
+  /// transposed per-door rows, doors * count entries each.
   static LandmarkIndex FromRaw(size_t door_count,
                                std::vector<DoorId> landmark_doors,
                                std::vector<double> fwd,

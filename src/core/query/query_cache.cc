@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "util/check.h"
 #include "util/metrics.h"
@@ -24,6 +23,8 @@ std::vector<double>& TlsFieldBuffer() {
 uint64_t Mix2(uint64_t a, uint64_t b) {
   return indoor::internal::MixHash(a ^ (b * 0x9e3779b97f4a7c15ull));
 }
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 /// The uncached evaluation of one field over `doors`, run by both the
 /// cache's miss path and the null-cache fallback, so cached and uncached
@@ -54,21 +55,16 @@ void SolveField(const PartitionLocator& locator, FieldKind kind,
 size_t QueryCache::FieldKeyHash::operator()(const FieldKey& k) const {
   const uint64_t tag =
       (static_cast<uint64_t>(k.part) << 8) | static_cast<uint64_t>(k.kind);
-  return static_cast<size_t>(
-      Mix2(Mix2(tag, static_cast<uint64_t>(k.qx)),
-           static_cast<uint64_t>(k.qy)));
+  return static_cast<size_t>(Mix2(Mix2(tag, k.x), k.y));
 }
 
 size_t QueryCache::HostKeyHash::operator()(const HostKey& k) const {
-  return static_cast<size_t>(
-      Mix2(static_cast<uint64_t>(k.qx), static_cast<uint64_t>(k.qy)));
+  return static_cast<size_t>(Mix2(k.x, k.y));
 }
 
 size_t QueryCache::ResultKeyHash::operator()(const ResultKey& k) const {
   return static_cast<size_t>(
-      Mix2(Mix2(Mix2(static_cast<uint64_t>(k.kind), k.param),
-                static_cast<uint64_t>(k.qx)),
-           static_cast<uint64_t>(k.qy)));
+      Mix2(Mix2(Mix2(static_cast<uint64_t>(k.kind), k.param), k.x), k.y));
 }
 
 QueryCache::QueryCache(const FloorPlan& plan, const PartitionLocator& locator,
@@ -77,39 +73,24 @@ QueryCache::QueryCache(const FloorPlan& plan, const PartitionLocator& locator,
       locator_(&locator),
       objects_(&objects),
       options_(options),
-      inv_quantum_(1.0 / options.quantum),
       field_cache_(options.field_capacity_bytes, options.shards,
                    "cache.field"),
       host_cache_(options.host_capacity_bytes, options.shards, "cache.host"),
       result_cache_(options.result_capacity_bytes, options.shards,
-                    "cache.result") {
-  INDOOR_CHECK(options.quantum > 0.0) << "cache_quantum must be positive";
-  for (const Partition& part : plan.partitions()) {
-    plan_bounds_ = plan_bounds_.Union(part.footprint().outer().BoundingBox());
-  }
-}
-
-int64_t QueryCache::QuantizeCoord(double x) const {
-  return static_cast<int64_t>(std::floor(x * inv_quantum_));
-}
+                    "cache.result") {}
 
 Result<PartitionId> QueryCache::HostPartition(const Point& p) const {
-  if (!plan_bounds_.Contains(p)) return locator_->GetHostPartition(p);
-  const HostKey key{QuantizeCoord(p.x), QuantizeCoord(p.y)};
+  const HostKey key{Bits(p.x), Bits(p.y)};
   PartitionId cached = kInvalidId;
-  const bool hit = host_cache_.Lookup(key, [&](const HostEntry& entry) {
-    if (!(entry.p == p)) return false;  // quantum collision: re-solve
-    cached = entry.part;
+  const bool hit = host_cache_.Lookup(key, [&](PartitionId part) {
+    cached = part;
     return true;
   });
   qlog::AddCacheLookup(hit);
   if (hit) return cached;
   Result<PartitionId> resolved = locator_->GetHostPartition(p);
   if (resolved.ok()) {
-    host_cache_.InsertWith(key, [&](HostEntry& entry) {
-      entry = HostEntry{p, resolved.value()};
-      return HostCache::SlotBytes();
-    });
+    host_cache_.Insert(key, resolved.value(), HostCache::SlotBytes());
   }
   return resolved;
 }
@@ -125,23 +106,19 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
                            GeodesicScratch* scratch, double* out) const {
   const std::vector<DoorId>& canonical = CanonicalDoors(kind, v);
   std::vector<double>& buffer = TlsFieldBuffer();
-  const FieldKey key{v, static_cast<uint8_t>(kind), QuantizeCoord(p.x),
-                     QuantizeCoord(p.y)};
-  const bool hit = field_cache_.Lookup(key, [&](const FieldEntry& entry) {
-    if (!(entry.p == p) || entry.legs.size() != canonical.size()) {
-      return false;  // quantum collision: re-solve below
-    }
-    buffer.assign(entry.legs.begin(), entry.legs.end());
-    return true;
-  });
+  const FieldKey key{v, static_cast<uint8_t>(kind), Bits(p.x), Bits(p.y)};
+  const bool hit =
+      field_cache_.Lookup(key, [&](const std::vector<double>& legs) {
+        buffer.assign(legs.begin(), legs.end());
+        return true;
+      });
   qlog::AddCacheLookup(hit);
   if (!hit) {
     buffer.resize(canonical.size());
     SolveField(*locator_, kind, v, p, canonical, scratch, buffer.data());
-    field_cache_.InsertWith(key, [&](FieldEntry& entry) {
-      entry.p = p;
-      entry.legs.assign(buffer.begin(), buffer.end());
-      return FieldCache::SlotBytes() + entry.legs.capacity() * sizeof(double);
+    field_cache_.InsertWith(key, [&](std::vector<double>& legs) {
+      legs.assign(buffer.begin(), buffer.end());
+      return FieldCache::SlotBytes() + legs.capacity() * sizeof(double);
     });
   }
   if (doors.size() == canonical.size()) {
@@ -161,8 +138,8 @@ void QueryCache::FieldLegs(FieldKind kind, PartitionId v, const Point& p,
 }
 
 QueryCache::ResultKey QueryCache::MakeResultKey(uint8_t kind, const Point& p,
-                                                uint64_t param) const {
-  return ResultKey{kind, QuantizeCoord(p.x), QuantizeCoord(p.y), param};
+                                                uint64_t param) {
+  return ResultKey{kind, Bits(p.x), Bits(p.y), param};
 }
 
 bool QueryCache::DepsCurrent(const ResultEntry& entry) const {
@@ -202,9 +179,6 @@ ResultProbe QueryCache::ProbeResult(uint8_t kind, const Point& p,
   bool repairable = false;
   const bool hit = result_cache_.Lookup(
       MakeResultKey(kind, p, param), [&](const ResultEntry& entry) {
-        if (!(entry.p == p) || entry.param != param) {
-          return false;  // quantum collision: re-solve
-        }
         if (!DepsCurrent(entry)) {
           if (stale != nullptr && FillStale(entry, stale)) {
             repairable = true;
@@ -292,8 +266,6 @@ void QueryCache::InsertResult(uint8_t kind, const Point& p, uint64_t param,
                 stamped.end());
   result_cache_.InsertWith(
       MakeResultKey(kind, p, param), [&](ResultEntry& entry) {
-        entry.p = p;
-        entry.param = param;
         entry.deps.assign(stamped.begin(), stamped.end());
         entry.gates.assign(gates.begin(), gates.end());
         entry.ids.clear();
@@ -320,16 +292,14 @@ void QueryCache::CommitRepaired(uint8_t kind, const Point& p, uint64_t param,
   INDOOR_COUNTER_INC("cache.result.repairs");
   result_cache_.Mutate(
       MakeResultKey(kind, p, param), [&](ResultEntry& entry) {
-        if (entry.p == p && entry.param == param) {
-          // Single-writer contract: no move interleaves with the repairing
-          // query, so the epochs read here are the ones the patched
-          // payload is exact under.
-          for (EpochDep& dep : entry.deps) {
-            dep.epoch = objects_->epoch(dep.part);
-          }
-          if (ids != nullptr) entry.ids = *ids;
-          if (neighbors != nullptr) entry.neighbors = *neighbors;
+        // Single-writer contract: no move interleaves with the repairing
+        // query, so the epochs read here are the ones the patched payload
+        // is exact under.
+        for (EpochDep& dep : entry.deps) {
+          dep.epoch = objects_->epoch(dep.part);
         }
+        if (ids != nullptr) entry.ids = *ids;
+        if (neighbors != nullptr) entry.neighbors = *neighbors;
         return EntryBytes(entry);
       });
 }

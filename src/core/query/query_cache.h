@@ -5,17 +5,13 @@
 //   * source/destination door distance fields (Locator::DistVMany entry
 //     and exit legs, plus the matrix path's door->point exit legs).
 //
-// Both caches key on the query position quantized to a configurable grid
-// (IndexOptions::cache_quantum) but store the EXACT position alongside
-// the cached value: a lookup only counts as a hit when the stored point
-// matches the queried point bit-for-bit, so quantization governs only
-// collision granularity, never the returned values. On a quantum-cell
-// collision with a different exact point the entry is re-solved and
-// replaced — exactness is preserved by construction, and every cached
-// path stays bit-identical to the uncached one (field values come from
-// the same DistVMany / IntraDistance evaluations, whose one-to-many
-// batching guarantees per-target values independent of batch
-// composition; see visibility_graph.h).
+// Both caches key on the exact query position: the bit patterns of its x
+// and y, so a hit is always the point the entry was solved for (+0.0 and
+// -0.0 are distinct keys). Every cached path stays bit-identical to the
+// uncached one (field values come from the same DistVMany /
+// IntraDistance evaluations, whose one-to-many batching guarantees
+// per-target values independent of batch composition; see
+// visibility_graph.h).
 //
 // Fields are cached over the partition's full canonical door list
 // (LeaveDoors / EnterDoors); callers that need a pruned subset (Algorithm
@@ -65,7 +61,6 @@
 #include "core/distance/query_scratch.h"
 #include "core/index/object_store.h"
 #include "core/model/locator.h"
-#include "geometry/rect.h"
 #include "util/sharded_cache.h"
 
 namespace indoor {
@@ -88,9 +83,6 @@ enum class FieldKind : uint8_t {
 
 /// Tuning knobs; defaults are set from IndexOptions in index_framework.
 struct QueryCacheOptions {
-  /// Quantization grid edge (same unit as plan coordinates). Governs how
-  /// many distinct positions can share a cache cell — not exactness.
-  double quantum = 0.25;
   /// Byte budget of the distance-field cache.
   size_t field_capacity_bytes = 24u << 20;
   /// Byte budget of the host-partition cache.
@@ -139,25 +131,23 @@ class QueryCache {
              const ObjectStore& objects, QueryCacheOptions options);
 
   /// getHostPartition(p) through the cache: returns the cached partition
-  /// on an exact-point hit, otherwise delegates to the locator and caches
-  /// positive results. Error results (outdoor points) are never cached. A
-  /// point outside every partition's bounding box (NaN, ±inf, far-off
-  /// coordinates) goes straight to the locator without being quantized:
-  /// it has no host, and its key could overflow int64.
+  /// on a hit, otherwise delegates to the locator and caches positive
+  /// results. Error results (outdoor points, NaN and infinite
+  /// coordinates) are never cached.
   Result<PartitionId> HostPartition(const Point& p) const;
 
   /// Fills out[i] with the field value of doors[i], where `doors` must be
   /// a subset of the canonical door list of (kind, v) — LeaveDoors(v) for
   /// kLeaveFrom, EnterDoors(v) otherwise. Serves from the cached canonical
-  /// field on an exact-point hit; re-solves and caches it otherwise. A
-  /// steady-state hit performs no heap allocations.
+  /// field on a hit; solves and caches it otherwise. A steady-state hit
+  /// performs no heap allocations.
   void FieldLegs(FieldKind kind, PartitionId v, const Point& p,
                  std::span<const DoorId> doors, GeodesicScratch* scratch,
                  double* out) const;
 
-  /// Probes for a cached Qr(p, r) result on an exact-(point, radius,
-  /// kind) match. kHit: every recorded partition epoch is current, `out`
-  /// is filled. kStale (only when `stale` is non-null): epochs moved but
+  /// Probes for a cached Qr(p, r) result on a (point, radius, kind)
+  /// match. kHit: every recorded partition epoch is current, `out` is
+  /// filled. kStale (only when `stale` is non-null): epochs moved but
   /// the change journals cover the delta with at most kMaxRepairObjects
   /// distinct objects — `stale` is filled and the caller is expected to
   /// repair and CommitRepairedRange. kMiss otherwise; an unrepairable
@@ -245,21 +235,20 @@ class QueryCache {
   }
   const QueryCacheOptions& options() const { return options_; }
 
-  // Quantized cell keys. 16 bits of partition+kind, then the two mixed
-  // cell coordinates; collisions only cost a re-solve, never exactness.
+  // Exact position keys: x and y are the coordinates' bit patterns.
   struct FieldKey {
     PartitionId part;
     uint8_t kind;
-    int64_t qx, qy;
+    uint64_t x, y;
     bool operator==(const FieldKey&) const = default;
   };
   struct HostKey {
-    int64_t qx, qy;
+    uint64_t x, y;
     bool operator==(const HostKey&) const = default;
   };
   struct ResultKey {
     uint8_t kind;  // caller-encoded query flavor (range/kNN x options)
-    int64_t qx, qy;
+    uint64_t x, y;
     uint64_t param;  // bit pattern of r (range) or k (kNN)
     bool operator==(const ResultKey&) const = default;
   };
@@ -274,32 +263,22 @@ class QueryCache {
   };
 
  private:
-  struct FieldEntry {
-    Point p;  // exact source position the field was solved from
-    std::vector<double> legs;
-  };
-  struct HostEntry {
-    Point p;
-    PartitionId part;
-  };
   struct EpochDep {
     PartitionId part;
     uint64_t epoch;
   };
   struct ResultEntry {
-    Point p;          // exact query position
-    uint64_t param = 0;  // exact radius bits / k
     std::vector<EpochDep> deps;
     std::vector<ResultGate> gates;    // repair budgets (see ResultGate)
     std::vector<ObjectId> ids;        // range payload
     std::vector<Neighbor> neighbors;  // kNN payload
   };
 
-  int64_t QuantizeCoord(double x) const;
   const std::vector<DoorId>& CanonicalDoors(FieldKind kind,
                                             PartitionId v) const;
 
-  ResultKey MakeResultKey(uint8_t kind, const Point& p, uint64_t param) const;
+  static ResultKey MakeResultKey(uint8_t kind, const Point& p,
+                                 uint64_t param);
   /// True when every recorded dependency epoch still matches the store.
   bool DepsCurrent(const ResultEntry& entry) const;
   /// Fills `stale` (payload, gates, deduplicated changed ids) from
@@ -329,16 +308,17 @@ class QueryCache {
   /// retain.
   static size_t EntryBytes(const ResultEntry& entry);
 
-  using FieldCache = ShardedCache<FieldKey, FieldEntry, FieldKeyHash>;
-  using HostCache = ShardedCache<HostKey, HostEntry, HostKeyHash>;
+  // A field entry holds the legs over the canonical door list; a host
+  // entry the partition.
+  using FieldCache =
+      ShardedCache<FieldKey, std::vector<double>, FieldKeyHash>;
+  using HostCache = ShardedCache<HostKey, PartitionId, HostKeyHash>;
   using ResultCache = ShardedCache<ResultKey, ResultEntry, ResultKeyHash>;
 
   const FloorPlan* plan_;
   const PartitionLocator* locator_;
   const ObjectStore* objects_;
   QueryCacheOptions options_;
-  double inv_quantum_;
-  Rect plan_bounds_ = Rect::Empty();  // union of partition bounding boxes
   mutable FieldCache field_cache_;
   mutable HostCache host_cache_;
   mutable ResultCache result_cache_;

@@ -27,6 +27,8 @@ namespace indoor {
 template <typename T>
 class MinHeap {
  public:
+  using value_type = T;
+
   bool empty() const { return data_.empty(); }
   size_t size() const { return data_.size(); }
 

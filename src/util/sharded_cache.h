@@ -127,9 +127,9 @@ class ShardedCache {
   }
 
   /// Looks up `key`; on a hit calls `accept(value)` under the shard lock.
-  /// `accept` returns whether the entry is truly usable (e.g. an
-  /// exact-point match behind a quantized key); only then is the entry's
-  /// reference bit set and the lookup counted as a hit. Returns the accept
+  /// `accept` returns whether the entry is truly usable (e.g. a cached
+  /// result whose recorded epochs are still current); only then is the
+  /// entry's reference bit set and the lookup counted as a hit. Returns the accept
   /// verdict (false on absent key). Allocation-free.
   template <typename Fn>
   bool Lookup(const Key& key, Fn&& accept) {

@@ -4,15 +4,13 @@
 // and to the landmark-free engine. These suites hold them to it — queue
 // pop order against a MinHeap oracle, Dijkstra solves against the
 // reference Algorithm 1, full query engines with landmarks on and off —
-// plus the landmark bound/persistence contracts and a concurrent stress
-// run for TSan.
+// plus the landmark bound contracts and a concurrent stress run for TSan.
 
 #include "core/distance/bucket_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -21,7 +19,6 @@
 #include "core/distance/pt2pt_distance.h"
 #include "core/distance/reverse_field.h"
 #include "core/index/index_framework.h"
-#include "core/index/index_io.h"
 #include "core/index/landmark_index.h"
 #include "core/query/knn_query.h"
 #include "core/query/range_query.h"
@@ -346,39 +343,6 @@ TEST(LandmarkIndexTest, RowsMatchMd2d) {
       }
     }
   }
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-TEST(LandmarkIndexTest, SaveLoadRoundTripsBitwise) {
-  const FloorPlan plan = GenerateBuilding(TestBuilding(37));
-  const DistanceGraph graph(plan);
-  const LandmarkIndex original = LandmarkIndex::Build(graph, 8);
-  const std::string path = TempPath("landmarks.bin");
-  ASSERT_TRUE(SaveLandmarkIndex(original, plan, path).ok());
-
-  const auto loaded = LoadLandmarkIndex(plan, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_EQ(loaded.value().count(), original.count());
-  ASSERT_EQ(loaded.value().door_count(), original.door_count());
-  for (size_t l = 0; l < original.count(); ++l) {
-    EXPECT_EQ(loaded.value().doors()[l], original.doors()[l]);
-  }
-  for (DoorId d = 0; d < plan.door_count(); ++d) {
-    for (size_t l = 0; l < original.count(); ++l) {
-      ASSERT_EQ(loaded.value().ForwardRow(d)[l], original.ForwardRow(d)[l]);
-      ASSERT_EQ(loaded.value().BackwardRow(d)[l],
-                original.BackwardRow(d)[l]);
-    }
-  }
-
-  // A different plan must be rejected on the fingerprint.
-  const FloorPlan other = MakeRunningExamplePlan();
-  const auto rejected = LoadLandmarkIndex(other, path);
-  ASSERT_FALSE(rejected.ok());
-  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- SIMD kernels

@@ -1,24 +1,27 @@
 // The INDOORIX container suite (docs/FORMAT.md): round trips through both
 // load modes must reproduce every structure bit for bit, and every
-// corruption mode — truncation, bad magic, flipped fingerprint,
-// misaligned or oversized sections, invalid payload invariants — must
-// surface as a clean Status naming the file and section, never a crash
-// (the suite runs under ASan in CI).
+// corruption mode — a file too small to hold a header, truncation, bad
+// magic, flipped fingerprint, misaligned or oversized sections, invalid
+// payload invariants — must surface as a clean Status naming the file and
+// section, never a crash (the suite runs under ASan in CI).
 
 #include "core/index/index_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "core/query/query_engine.h"
 #include "gen/building_generator.h"
 #include "gen/object_generator.h"
 #include "gen/query_generator.h"
+#include "indoor/floor_plan_builder.h"
 #include "indoor/sample_plans.h"
 
 namespace indoor {
@@ -66,50 +69,123 @@ bool BitEq(double a, double b) {
   return ba == bb;
 }
 
+/// Three rooms in a row, a -> c through a one-way door and c <-> e through
+/// a two-way door: no walk leads back into a, so Md2d holds +inf entries.
+FloorPlan MakeOneWayPlan() {
+  FloorPlanBuilder b;
+  const PartitionId a =
+      b.AddPartition("a", PartitionKind::kRoom, 1, Rect(0, 0, 4, 4));
+  const PartitionId c =
+      b.AddPartition("c", PartitionKind::kRoom, 1, Rect(4, 0, 8, 4));
+  const PartitionId e =
+      b.AddPartition("e", PartitionKind::kRoom, 1, Rect(8, 0, 12, 4));
+  b.AddUnidirectionalDoor("ow", Segment({4, 1.8}, {4, 2.2}), a, c);
+  b.AddBidirectionalDoor("bd", Segment({8, 1.8}, {8, 2.2}), c, e);
+  auto plan = std::move(b).Build();
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return std::move(plan).value();
+}
+
 TEST(IndexContainerTest, FlatRoundTripIsBitwiseLossless) {
-  const FloorPlan plan = MakeCampus(3);
-  IndexOptions options;
-  const IndexFramework built(plan, options);
-  const std::string path = TempPath("flat_roundtrip.idx");
-  ASSERT_TRUE(SaveIndexContainer(built, path).ok());
-
-  for (const bool mmap_mode : {false, true}) {
-    auto artifacts = mmap_mode ? MapIndexContainer(plan, path)
-                               : LoadIndexContainer(plan, path);
-    ASSERT_TRUE(artifacts.ok()) << artifacts.status();
-    ASSERT_TRUE(artifacts->md2d.has_value());
-    ASSERT_TRUE(artifacts->midx.has_value());
-    ASSERT_TRUE(artifacts->dpt.has_value());
-    ASSERT_TRUE(artifacts->landmarks.has_value());
-    EXPECT_FALSE(artifacts->hierarchy.has_value());
-    EXPECT_EQ(artifacts->mapping != nullptr, mmap_mode);
-
+  std::vector<FloorPlan> plans;
+  plans.push_back(MakeCampus(3));
+  plans.push_back(MakeOneWayPlan());
+  size_t infinite_entries = 0;
+  for (const FloorPlan& plan : plans) {
+    const IndexFramework built(plan, IndexOptions{});
+    const std::string path = TempPath("flat_roundtrip.idx");
+    ASSERT_TRUE(SaveIndexContainer(built, path).ok());
     const size_t n = plan.door_count();
     for (DoorId a = 0; a < n; ++a) {
       for (DoorId b = 0; b < n; ++b) {
-        EXPECT_TRUE(BitEq(artifacts->md2d->At(a, b),
-                          built.d2d_matrix().At(a, b)));
-        EXPECT_EQ(artifacts->midx->At(a, b), built.index_matrix().At(a, b));
+        if (built.d2d_matrix().At(a, b) == kInfDistance) ++infinite_entries;
       }
-      const DptRecord& loaded = (*artifacts->dpt)[a];
-      const DptRecord& orig = built.dpt()[a];
-      EXPECT_EQ(loaded.door, orig.door);
-      EXPECT_EQ(loaded.part1, orig.part1);
-      EXPECT_EQ(loaded.part2, orig.part2);
-      EXPECT_TRUE(BitEq(loaded.dist1, orig.dist1));
-      EXPECT_TRUE(BitEq(loaded.dist2, orig.dist2));
     }
-    ASSERT_EQ(artifacts->landmarks->count(), built.landmarks()->count());
-    for (DoorId d = 0; d < n; ++d) {
-      for (size_t l = 0; l < artifacts->landmarks->count(); ++l) {
-        EXPECT_TRUE(BitEq(artifacts->landmarks->ForwardRow(d)[l],
-                          built.landmarks()->ForwardRow(d)[l]));
-        EXPECT_TRUE(BitEq(artifacts->landmarks->BackwardRow(d)[l],
-                          built.landmarks()->BackwardRow(d)[l]));
+
+    for (const bool mmap_mode : {false, true}) {
+      SCOPED_TRACE(testing::Message() << n << " doors, "
+                                      << (mmap_mode ? "map" : "load"));
+      auto artifacts = mmap_mode ? MapIndexContainer(plan, path)
+                                 : LoadIndexContainer(plan, path);
+      ASSERT_TRUE(artifacts.ok()) << artifacts.status();
+      ASSERT_TRUE(artifacts->md2d.has_value());
+      ASSERT_TRUE(artifacts->midx.has_value());
+      ASSERT_TRUE(artifacts->dpt.has_value());
+      ASSERT_TRUE(artifacts->landmarks.has_value());
+      EXPECT_FALSE(artifacts->hierarchy.has_value());
+      EXPECT_EQ(artifacts->mapping != nullptr, mmap_mode);
+
+      for (DoorId a = 0; a < n; ++a) {
+        for (DoorId b = 0; b < n; ++b) {
+          EXPECT_TRUE(BitEq(artifacts->md2d->At(a, b),
+                            built.d2d_matrix().At(a, b)));
+          EXPECT_EQ(artifacts->midx->At(a, b), built.index_matrix().At(a, b));
+        }
+        const DptRecord& loaded = (*artifacts->dpt)[a];
+        const DptRecord& orig = built.dpt()[a];
+        EXPECT_EQ(loaded.door, orig.door);
+        EXPECT_EQ(loaded.part1, orig.part1);
+        EXPECT_EQ(loaded.part2, orig.part2);
+        EXPECT_TRUE(BitEq(loaded.dist1, orig.dist1));
+        EXPECT_TRUE(BitEq(loaded.dist2, orig.dist2));
+      }
+      const LandmarkIndex& landmarks = *artifacts->landmarks;
+      ASSERT_EQ(landmarks.count(), built.landmarks()->count());
+      EXPECT_TRUE(std::ranges::equal(landmarks.doors(),
+                                     built.landmarks()->doors()));
+      for (DoorId d = 0; d < n; ++d) {
+        for (size_t l = 0; l < landmarks.count(); ++l) {
+          EXPECT_TRUE(BitEq(landmarks.ForwardRow(d)[l],
+                            built.landmarks()->ForwardRow(d)[l]));
+          EXPECT_TRUE(BitEq(landmarks.BackwardRow(d)[l],
+                            built.landmarks()->BackwardRow(d)[l]));
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
+  // The one-way plan's unreachable door pairs made the trip too.
+  EXPECT_GT(infinite_entries, 0u);
+}
+
+TEST(IndexContainerTest, SavedBytesDependOnlyOnThePlan) {
+  // Serial and parallel builds, flat and hierarchical, save the same
+  // bytes: no struct padding or other unwritten memory reaches the file.
+  const FloorPlan plan = MakeCampus(19);
+  for (const bool hierarchy : {false, true}) {
+    std::string first;
+    for (const unsigned threads : {1u, 4u}) {
+      IndexOptions options;
+      options.use_hierarchy = hierarchy;
+      options.build_threads = threads;
+      const std::string path =
+          SaveContainer(plan, options, "reproducible.idx");
+      const std::string bytes = ReadFile(path);
+      std::remove(path.c_str());
+      if (first.empty()) {
+        first = bytes;
+      } else {
+        EXPECT_TRUE(bytes == first)
+            << (hierarchy ? "hierarchy" : "flat") << " container differs";
       }
     }
   }
-  std::remove(path.c_str());
+}
+
+TEST(IndexContainerTest, FingerprintSensitiveToGeometryAndTopology) {
+  BuildingConfig config;
+  config.floors = 2;
+  config.rooms_per_floor = 6;
+  const uint64_t base = PlanDistanceFingerprint(GenerateBuilding(config));
+  // Same config reproduces the fingerprint.
+  EXPECT_EQ(PlanDistanceFingerprint(GenerateBuilding(config)), base);
+  // A different seed moves doors -> different fingerprint.
+  config.seed = 43;
+  EXPECT_NE(PlanDistanceFingerprint(GenerateBuilding(config)), base);
+  // A different staircase length changes metric scales only.
+  config.seed = 42;
+  config.stair_walk_length = 11.0;
+  EXPECT_NE(PlanDistanceFingerprint(GenerateBuilding(config)), base);
 }
 
 TEST(IndexContainerTest, HierarchyRoundTripServesIdenticalQueries) {
@@ -229,6 +305,12 @@ TEST(IndexContainerTest, RejectsTruncatedFile) {
   ExpectCorruptionRejected(
       [](std::string* b) { b->resize(b->size() - 100); },
       StatusCode::kParseError, "bytes", "truncated.idx");
+}
+
+TEST(IndexContainerTest, RejectsShortTextFile) {
+  ExpectCorruptionRejected(
+      [](std::string* b) { *b = "hello world, definitely not an index"; },
+      StatusCode::kParseError, "too small", "short_text.idx");
 }
 
 TEST(IndexContainerTest, RejectsCorruptTrailer) {
@@ -553,18 +635,6 @@ TEST(IndexContainerTest, RejectsContainerOfDifferentPlan) {
     ASSERT_FALSE(artifacts.ok());
     EXPECT_EQ(artifacts.status().code(), StatusCode::kFailedPrecondition);
   }
-  std::remove(path.c_str());
-}
-
-TEST(IndexContainerTest, LegacyMatrixFileIsNotAContainer) {
-  const FloorPlan plan = MakeRunningExamplePlan();
-  const DistanceGraph graph(plan);
-  const DistanceMatrix matrix(graph);
-  const std::string path = TempPath("legacy_md2d.bin");
-  ASSERT_TRUE(SaveDistanceMatrix(matrix, plan, path).ok());
-  const auto loaded = LoadIndexContainer(plan, path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
 }
 

@@ -67,11 +67,12 @@ TEST(QueryCacheAllocTest, WarmMissesAllocateNothing) {
     options.cache_shards = 1;
     const QueryEngine engine(GenerateBuilding(config), options);
     Rng rng(152);
-    const auto pairs = GeneratePositionPairs(engine.plan(), 6000, &rng);
+    const auto pairs = GeneratePositionPairs(engine.plan(), 7000, &rng);
     QueryScratch scratch;
     // A slot's leg vector grows to the largest field it has held; on this
-    // building the last one reaches its largest field by request 2319.
-    constexpr size_t kWarm = 3000;
+    // building (69 field slots in the budget) the last one reaches its
+    // largest field by request 3572.
+    constexpr size_t kWarm = 4000;
     for (size_t i = 0; i < kWarm; ++i) {
       engine.Distance(pairs[i].first, pairs[i].second, &scratch);
     }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -81,7 +82,7 @@ TEST(ShardedCacheTest, LookupMissThenHit) {
 TEST(ShardedCacheTest, AcceptRejectionCountsAsMiss) {
   ShardedCache<int, int> cache(1 << 20, 1, "");
   cache.Insert(1, 10, 32);
-  // The accept functor refusing the entry (e.g. quantum collision) must
+  // The accept functor refusing the entry (e.g. a stale result) must
   // register as a miss, not a hit.
   EXPECT_FALSE(cache.Lookup(1, [](const int&) { return false; }));
   const CacheStats stats = cache.GetStats();
@@ -480,22 +481,34 @@ TEST(QueryCacheEquivalenceTest, HostPartitionMatchesLocator) {
   }
 }
 
-// Two exact positions in the same quantum cell must not serve each
-// other's fields: the entry stores the exact point and re-solves on
-// mismatch.
-TEST(QueryCacheEquivalenceTest, QuantumCollisionsStayExact) {
+// Keys are exact positions, so a point 1 ulp, 1e-9 or 0.01 m away from a
+// cached one must not be served its host, fields or results.
+TEST(QueryCacheEquivalenceTest, NearbyPositionsStayExact) {
   QueryEngine cached(MakeRunningExamplePlan(), CacheOptions(true));
   QueryEngine uncached(MakeRunningExamplePlan(), CacheOptions(false));
   Rng rng(99);
+  PopulateStore(GenerateObjects(cached.plan(), 40, &rng),
+                &cached.index().objects());
+  Rng same_objects(99);
+  PopulateStore(GenerateObjects(uncached.plan(), 40, &same_objects),
+                &uncached.index().objects());
   const auto base = GenerateQueryPositions(cached.plan(), 8, &rng);
-  const double quantum = cached.index().query_cache()->options().quantum;
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto host = [](const QueryEngine& engine, const Point& q) {
+    const auto located = engine.Locate(q);
+    return located.ok() ? located.value() : kInvalidId;
+  };
   for (const Point& p : base) {
-    // Same cell as p (offset well below one quantum), different point.
-    const Point near(p.x + quantum / 16.0, p.y + quantum / 16.0);
-    for (const Point& q : {p, near, p, near}) {
-      EXPECT_EQ(cached.Distance(q, base.front()),
-                uncached.Distance(q, base.front()));
-      EXPECT_EQ(cached.Range(q, 10.0), uncached.Range(q, 10.0));
+    const Point ulp(std::nextafter(p.x, inf), std::nextafter(p.y, inf));
+    for (const Point& near : {ulp, Point(p.x + 1e-9, p.y + 1e-9),
+                              Point(p.x + 0.01, p.y + 0.01)}) {
+      for (const Point& q : {p, near, p, near}) {
+        EXPECT_EQ(host(cached, q), host(uncached, q));
+        EXPECT_EQ(cached.Distance(q, base.front()),
+                  uncached.Distance(q, base.front()));
+        EXPECT_EQ(cached.Range(q, 10.0), uncached.Range(q, 10.0));
+        EXPECT_EQ(cached.Nearest(q, 3), uncached.Nearest(q, 3));
+      }
     }
   }
 }
@@ -689,9 +702,9 @@ TEST(BatchExecutorTest, EmptyBatchAndReuse) {
 
 // Positions no partition can contain (NaN, ±inf, 1e300) and a NaN radius
 // get the same well-defined answers with the cache on and off. With the
-// cache on, such a position used to reach the key quantizer, whose
-// double-to-int64 cast overflowed (UBSan: float-cast-overflow), and a NaN
-// radius swept every door and cached an entry.
+// cache on, such a position is keyed by its bits and only misses (no
+// error result is cached), and a NaN radius must not sweep every door
+// and cache an entry.
 TEST(QueryCacheEntryPointTest, NonFiniteInputsAnswerLikeCacheOff) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -897,16 +910,20 @@ TEST(QueryCacheConcurrencyTest, ConcurrentHitsAndMissesStayExact) {
 TEST(QueryScratchDecayTest, ShrinksAfterCapacitySpike) {
   QueryEngine engine(MakeRunningExamplePlan());
   QueryScratch scratch;
-  // Simulate a one-off huge query: inflate two scratch buffers far past
-  // anything the steady workload needs.
+  // Simulate a one-off huge query: inflate three scratch buffers far past
+  // anything the steady workload needs. `bucket.hot` is the metrics-only
+  // hotness staging; its capacity must be counted and released too.
   scratch.src_leg.resize(size_t{4} << 20);  // 32 MiB of doubles
   scratch.d2d_cache.resize(size_t{1} << 20);
+  scratch.bucket.hot.resize(size_t{2} << 20);  // 16 MiB of pairs
   scratch.src_leg.shrink_to_fit();
   scratch.d2d_cache.shrink_to_fit();
+  scratch.bucket.hot.shrink_to_fit();
   const size_t inflated = scratch.CapacityBytes();
-  ASSERT_GT(inflated, size_t{16} << 20);
+  ASSERT_GE(inflated, size_t{56} << 20);
   scratch.src_leg.clear();
   scratch.d2d_cache.clear();
+  scratch.bucket.hot.clear();
 
   // Run well past one decay interval of small queries.
   Rng rng(5);
@@ -918,6 +935,7 @@ TEST(QueryScratchDecayTest, ShrinksAfterCapacitySpike) {
   }
   EXPECT_LT(scratch.CapacityBytes(), inflated / 4)
       << "high-water-mark decay did not release the spike capacity";
+  EXPECT_LT(scratch.bucket.hot.capacity(), size_t{2} << 20);
 }
 
 TEST(QueryScratchDecayTest, SteadyWorkloadKeepsCapacity) {

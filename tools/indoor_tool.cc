@@ -1,6 +1,6 @@
 // indoor_tool: command-line access to the library — generate buildings,
 // validate/inspect plan files, compute distances and paths, run queries,
-// and precompute/persist the distance matrix.
+// and precompute/persist the index container.
 //
 //   indoor_tool gen --floors 10 --rooms 30 --out plan.txt
 //   indoor_tool gen --buildings 4 --out campus.txt
@@ -10,7 +10,6 @@
 //   indoor_tool path plan.txt <x1> <y1> <x2> <y2>
 //   indoor_tool range plan.txt <x> <y> <r> [--objects N] [--seed S]
 //   indoor_tool knn plan.txt <x> <y> <k> [--objects N] [--seed S]
-//   indoor_tool matrix plan.txt <out.bin>
 //   indoor_tool build plan.txt <out.idx> [--hierarchy] [--threads N]
 //   indoor_tool serve plan.txt --load-mmap out.idx   (cold start, no build)
 //   indoor_tool stats plan.txt [--queries N] [--objects N] [--seed S]
@@ -46,7 +45,6 @@
 #include "util/metrics.h"
 #include "util/query_log.h"
 #include "util/slo.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/timeseries.h"
 #include "util/trace_export.h"
@@ -68,13 +66,12 @@ int Usage() {
       "  indoor_tool path PLAN X1 Y1 X2 Y2\n"
       "  indoor_tool range PLAN X Y R [--objects N] [--seed S]\n"
       "  indoor_tool knn PLAN X Y K [--objects N] [--seed S]\n"
-      "  indoor_tool matrix PLAN OUT.bin [--threads N]\n"
       "  indoor_tool build PLAN OUT.idx [--threads N] [--hierarchy]\n"
       "                    [--cell-target N] [--landmark-count N]\n"
       "  indoor_tool stats PLAN [--queries N] [--objects N] [--seed S]\n"
       "  indoor_tool serve PLAN [--threads N] [--batch B] [--skew ZIPF]\n"
       "                    [--requests N] [--positions N] [--objects N]\n"
-      "                    [--cache on|off] [--quantum Q] [--seed S]\n"
+      "                    [--cache on|off] [--seed S]\n"
       "                    [--move-rate R] [--move-batch M]\n"
       "                    [--query-log F] [--slow-ms MS] [--report N]\n"
       "                    [--record F] [--record-interval-ms N]\n"
@@ -88,9 +85,9 @@ int Usage() {
       "  indoor_tool dashboard REC [REC...] [--out F.html] [--slo SPEC]\n"
       "                    [--title T]\n"
       "\n"
-      "  --threads N        worker threads for matrix precomputation\n"
-      "                     (default 1 = sequential, 0 = all hardware "
-      "threads)\n"
+      "  --threads N        build: index precomputation workers; serve/\n"
+      "                     replay: executor workers (default 0 = all\n"
+      "                     hardware threads)\n"
       "  --buildings N      gen: emit an N-building campus plan joined by\n"
       "                     a shared outdoor partition (--gap M meters of\n"
       "                     open ground between buildings, default 20)\n"
@@ -502,7 +499,6 @@ int CmdServe(const Args& args) {
   if (!plan.ok()) return 1;
   IndexOptions options;
   options.enable_query_cache = args.Str("cache", "on") != "off";
-  options.cache_quantum = args.Num("quantum", options.cache_quantum);
   options.landmark_count = args.Num("landmark-count", 0u);
   options.approx_knn = args.Has("knn-approx");
   options.approx_candidate_factor =
@@ -595,7 +591,6 @@ int CmdServe(const Args& args) {
                     "\nseed=" + std::to_string(seed) +
                     "\ncache=" +
                     (options.enable_query_cache ? "on" : "off") +
-                    "\nquantum=" + std::to_string(options.cache_quantum) +
                     "\nbatch=" + std::to_string(batch) +
                     "\nmove-rate=" + std::to_string(move_rate) + "\n";
     const Status st = qlog::QueryLog::Global().Enable(qopts);
@@ -866,10 +861,6 @@ int CmdReplay(const Args& args) {
   IndexOptions options;
   options.enable_query_cache =
       args.Str("cache", ctx("cache", "on")) != "off";
-  options.cache_quantum = args.Num(
-      "quantum", context.count("quantum")
-                     ? ParseNumber<double>(context.at("quantum"))
-                     : options.cache_quantum);
   auto engine_or = MakeEngine(std::move(plan).value(), options, args);
   if (!engine_or.ok()) {
     std::cerr << "error: " << engine_or.status() << "\n";
@@ -939,36 +930,6 @@ int CmdDashboard(const Args& args) {
   return 0;
 }
 
-int CmdMatrix(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
-  auto plan = LoadOrFail(args.positional[0]);
-  if (!plan.ok()) return 1;
-  const DistanceGraph graph(plan.value());
-  const unsigned threads = args.Num("threads", 1u);
-  WallTimer timer;
-  const DistanceMatrix matrix(graph, threads);
-  const double ms = timer.ElapsedMillis();
-  std::printf("threads: %u\n", ResolveThreadCount(threads));
-  const Status st =
-      SaveDistanceMatrix(matrix, plan.value(), args.positional[1]);
-  if (!st.ok()) {
-    std::cerr << "error: " << st << "\n";
-    return 1;
-  }
-  std::printf("computed %zux%zu matrix in %.1f ms, wrote %s (%.2f MB)\n",
-              matrix.door_count(), matrix.door_count(), ms,
-              args.positional[1].c_str(),
-              matrix.MemoryBytes() / (1024.0 * 1024.0));
-  // Verify the round trip.
-  const auto loaded = LoadDistanceMatrix(plan.value(), args.positional[1]);
-  if (!loaded.ok()) {
-    std::cerr << "round-trip failed: " << loaded.status() << "\n";
-    return 1;
-  }
-  std::printf("round-trip verified\n");
-  return 0;
-}
-
 /// Honors --metrics-json FILE: dumps the registry snapshot as JSON to FILE
 /// ("-" = stdout) after the command has run.
 int DumpMetricsJson(const Args& args) {
@@ -1006,7 +967,6 @@ int main(int argc, char** argv) {
     else if (cmd == "path") rc = CmdDistance(args, /*with_path=*/true);
     else if (cmd == "range") rc = CmdQuery(args, /*knn=*/false);
     else if (cmd == "knn") rc = CmdQuery(args, /*knn=*/true);
-    else if (cmd == "matrix") rc = CmdMatrix(args);
     else if (cmd == "build") rc = CmdBuild(args);
     else if (cmd == "stats") rc = CmdStats(args);
     else if (cmd == "serve") rc = CmdServe(args);

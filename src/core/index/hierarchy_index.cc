@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <utility>
 
 #include "core/distance/d2d_runner.h"
@@ -11,11 +12,23 @@
 namespace indoor {
 namespace {
 
-/// Capped BFS clustering of the partition-adjacency graph: scan seeds in
-/// id order, claim partitions at enqueue time (so every cell is connected
-/// and claims are unambiguous), stop growing a cell once it holds
-/// `cell_target` partitions. Fully deterministic: adjacency lists follow
-/// door-id order and the queue is FIFO.
+/// Partition clustering in two passes.
+///
+/// 1. Capped BFS over the partition-adjacency graph: scan seeds in id
+///    order, claim partitions at enqueue time (so every cell is connected
+///    and claims are unambiguous), stop growing a cell once it holds
+///    `cell_target` partitions.
+/// 2. Fold: the BFS leaves fragments behind, cells of at most 2
+///    partitions (a room whose hallway a full cell already claimed). Each
+///    fragment joins the adjacent cell of more than 2 partitions that
+///    shares the most doors with it (on a tie, the smaller cell id), so
+///    its doors stop being borders. A folded cell may exceed
+///    `cell_target`. At targets 1 and 2 no cell has more than 2
+///    partitions, so nothing folds. Cells are then renumbered densely in
+///    the order of their lowest partition id.
+///
+/// Fully deterministic: adjacency lists follow door-id order, the queue
+/// is FIFO and the fold reads only the BFS cells.
 std::vector<uint32_t> ClusterPartitions(const FloorPlan& plan,
                                         unsigned cell_target,
                                         uint64_t* cell_count_out) {
@@ -28,11 +41,11 @@ std::vector<uint32_t> ClusterPartitions(const FloorPlan& plan,
   }
 
   std::vector<uint32_t> cell_of(p, HierarchyIndex::kNone);
-  uint32_t cells = 0;
+  std::vector<unsigned> cell_size;
   std::deque<PartitionId> queue;
   for (PartitionId seed = 0; seed < p; ++seed) {
     if (cell_of[seed] != HierarchyIndex::kNone) continue;
-    const uint32_t c = cells++;
+    const uint32_t c = static_cast<uint32_t>(cell_size.size());
     cell_of[seed] = c;
     unsigned claimed = 1;
     queue.clear();
@@ -47,6 +60,45 @@ std::vector<uint32_t> ClusterPartitions(const FloorPlan& plan,
         if (++claimed == cell_target) break;
       }
     }
+    cell_size.push_back(claimed);
+  }
+
+  // One (fragment, larger cell) link per door between the two; sorted,
+  // each fragment's links form runs of equal pairs in ascending order of
+  // the larger cell, so the first longest run wins ties.
+  constexpr unsigned kMaxFragment = 2;
+  std::vector<std::pair<uint32_t, uint32_t>> links;
+  for (DoorId d = 0; d < plan.door_count(); ++d) {
+    const auto [a, b] = plan.ConnectedPair(d);
+    const uint32_t ca = cell_of[a];
+    const uint32_t cb = cell_of[b];
+    if (cell_size[ca] <= kMaxFragment && cell_size[cb] > kMaxFragment) {
+      links.emplace_back(ca, cb);
+    } else if (cell_size[cb] <= kMaxFragment && cell_size[ca] > kMaxFragment) {
+      links.emplace_back(cb, ca);
+    }
+  }
+  std::sort(links.begin(), links.end());
+  std::vector<uint32_t> folded_into(cell_size.size());
+  std::iota(folded_into.begin(), folded_into.end(), 0u);
+  std::vector<size_t> shared(cell_size.size(), 0);
+  for (size_t i = 0; i < links.size();) {
+    size_t j = i + 1;
+    while (j < links.size() && links[j] == links[i]) ++j;
+    const uint32_t fragment = links[i].first;
+    if (j - i > shared[fragment]) {
+      shared[fragment] = j - i;
+      folded_into[fragment] = links[i].second;
+    }
+    i = j;
+  }
+
+  std::vector<uint32_t> renumbered(cell_size.size(), HierarchyIndex::kNone);
+  uint32_t cells = 0;
+  for (PartitionId v = 0; v < p; ++v) {
+    uint32_t& c = renumbered[folded_into[cell_of[v]]];
+    if (c == HierarchyIndex::kNone) c = cells++;
+    cell_of[v] = c;
   }
   *cell_count_out = cells;
   return cell_of;
@@ -101,12 +153,16 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
       }
     }
   }
+  // Stored now, so the row solves below map a settled door to its local
+  // slot through LocalIndex.
+  h.door_cells_ = OwnedSpan<uint32_t>::Own(std::move(door_cells));
+  h.door_locals_ = OwnedSpan<uint32_t>::Own(std::move(door_locals));
 
   // Border doors (two distinct cells) in ascending id order.
   std::vector<DoorId> border_doors;
   std::vector<uint32_t> border_of_door(n, kNone);
   for (DoorId d = 0; d < n; ++d) {
-    if (door_cells[2 * d + 1] == kNone) continue;
+    if (h.CellsOfDoor(d)[1] == kNone) continue;
     border_of_door[d] = static_cast<uint32_t>(border_doors.size());
     border_doors.push_back(d);
   }
@@ -135,18 +191,6 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
   }
   std::vector<double> blocks(block_offsets[nc], kInfDistance);
 
-  // Per-cell door -> local lookup for the row solves (kNone = not a
-  // member). Transient: nc * n u32, freed after the build.
-  std::vector<std::vector<uint32_t>> local_map(nc);
-  for (size_t c = 0; c < nc; ++c) {
-    local_map[c].assign(n, kNone);
-    const uint64_t begin = member_offsets[c];
-    const uint64_t end = member_offsets[c + 1];
-    for (uint64_t i = begin; i < end; ++i) {
-      local_map[c][members[i]] = static_cast<uint32_t>(i - begin);
-    }
-  }
-
   // Block rows: one early-terminated FULL-GRAPH Dijkstra per (cell,
   // member). The run is the exact Md2d row solve stopped once every
   // member of the cell has settled, so each recorded distance is
@@ -172,12 +216,11 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
     const DoorId src = members[begin + task.local];
     double* const row = blocks.data() + block_offsets[c] +
                         static_cast<uint64_t>(task.local) * m;
-    const std::vector<uint32_t>& locals = local_map[c];
     size_t remaining = m;
     DoorDijkstraScratch scratch;
     RunDoorDijkstra(graph, src, &scratch, nullptr,
                     [&](DoorId di, double d) {
-                      const uint32_t local = locals[di];
+                      const uint32_t local = h.LocalIndex(c, di);
                       if (local == kNone) return true;
                       row[local] = d;
                       return --remaining != 0;
@@ -224,8 +267,6 @@ HierarchyIndex HierarchyIndex::Build(const DistanceGraph& graph,
                    static_cast<double>(block_offsets[nc]));
 
   h.partition_cells_ = OwnedSpan<uint32_t>::Own(std::move(partition_cells));
-  h.door_cells_ = OwnedSpan<uint32_t>::Own(std::move(door_cells));
-  h.door_locals_ = OwnedSpan<uint32_t>::Own(std::move(door_locals));
   h.member_offsets_ = OwnedSpan<uint64_t>::Own(std::move(member_offsets));
   h.members_ = OwnedSpan<DoorId>::Own(std::move(members));
   h.escape_radii_ = OwnedSpan<double>::Own(std::move(escape_radii));

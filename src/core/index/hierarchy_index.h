@@ -2,9 +2,13 @@
 //
 // Md2d is O(|D|^2) in both build time and memory — fine for the paper's
 // single building, fatal for a campus/airport with 10^4..10^5 doors. This
-// index contracts the PARTITION graph into cells (deterministic capped BFS
-// clustering over partition adjacency, G-tree/contraction style, see
-// PAPERS.md: TopCom and the road-network kNN experimentation paper) and
+// index contracts the PARTITION graph into cells (G-tree/contraction
+// style, see PAPERS.md: TopCom and the road-network kNN experimentation
+// paper). A cell is a BFS core of about `cell_target` partitions plus the
+// fragments folded into it: the capped BFS over partition adjacency
+// leaves cells of at most 2 partitions behind (a room whose hallway a full
+// cell already claimed), and each joins the adjacent larger cell it shares
+// the most doors with, so few doors cross between cells. The index then
 // precomputes, per cell, a dense block of FULL-GRAPH door-to-door
 // distances among the cell's member doors, plus one global clique of
 // full-graph distances between all BORDER doors (doors whose two
@@ -78,11 +82,12 @@ class HierarchyIndex {
   HierarchyIndex() = default;
 
   /// Builds the hierarchy: capped-BFS partition cells of about
-  /// `cell_target` partitions each, then one early-terminated full-graph
-  /// Dijkstra per (cell, member) block row and per border-clique row.
-  /// Rows are independent, so construction parallelizes across `threads`
-  /// workers (0 = hardware concurrency, 1 = sequential) with bit-identical
-  /// output.
+  /// `cell_target` partitions each, with every fragment of at most 2
+  /// partitions folded into its adjacent larger cell (a cell may then
+  /// exceed `cell_target`), then one early-terminated full-graph Dijkstra
+  /// per (cell, member) block row and per border-clique row. Rows are
+  /// independent, so construction parallelizes across `threads` workers
+  /// (0 = hardware concurrency, 1 = sequential) with bit-identical output.
   static HierarchyIndex Build(const DistanceGraph& graph, unsigned threads,
                               unsigned cell_target);
 
@@ -119,8 +124,10 @@ class HierarchyIndex {
   size_t door_count() const { return door_count_; }
   size_t cell_count() const { return cell_count_; }
   size_t border_count() const { return border_count_; }
-  /// The build-time cell-size knob (partitions per cell), recorded so
-  /// persisted indexes can be checked against the requesting options.
+  /// The build-time cell-size knob (partitions per cell before the fold),
+  /// stored with the index. Nothing compares it with the serving options:
+  /// a container is served with the cells it stores, so one built by an
+  /// older clustering keeps its cells until it is rebuilt.
   uint32_t cell_target() const { return cell_target_; }
 
   /// The cell owning partition `v`.

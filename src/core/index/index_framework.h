@@ -68,8 +68,10 @@ struct IndexOptions {
   /// implementations) reject with a CHECK under this option.
   bool use_hierarchy = false;
   /// Target partitions per hierarchy cell (build-time clustering knob).
-  /// Smaller cells = less block memory but more border doors; the total
-  /// footprint is sum_c |M_c|^2 + |B|^2 versus the flat |D|^2.
+  /// A cell is a BFS core of about this many partitions plus the
+  /// fragments (cells of at most 2 partitions) folded into it, so it may
+  /// hold more. Smaller cells = less block memory but more border doors;
+  /// the total footprint is sum_c |M_c|^2 + |B|^2 versus the flat |D|^2.
   unsigned hierarchy_cell_target = 128;
 
   /// Cross-query work sharing (core/query/query_cache.h): cache host

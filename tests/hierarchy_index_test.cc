@@ -76,13 +76,20 @@ IndexOptions FlatOptions(bool cache) {
 }
 
 /// Runs the same randomized mixed workload through both engines and
-/// demands bitwise-identical answers everywhere.
+/// demands bitwise-identical answers everywhere. The hierarchy must have
+/// more than one cell, so that cross-cell paths are exercised, unless the
+/// case is meant to fit in `one_cell`.
 void ExpectEngineEquality(const FloorPlan& plan, bool cache,
                           unsigned cell_target, uint64_t seed,
-                          size_t pt2pt_pairs = 60) {
+                          size_t pt2pt_pairs = 60, bool one_cell = false) {
   QueryEngine flat(plan, FlatOptions(cache));
   QueryEngine hier(plan, HierOptions(cache, cell_target));
   ASSERT_TRUE(hier.index().hierarchy_index().valid());
+  if (one_cell) {
+    ASSERT_EQ(hier.index().hierarchy_index().cell_count(), 1u);
+  } else {
+    ASSERT_GT(hier.index().hierarchy_index().cell_count(), 1u);
+  }
 
   Rng flat_rng(seed), hier_rng(seed);
   PopulateStore(GenerateObjects(flat.plan(), 400, &flat_rng),
@@ -141,7 +148,7 @@ TEST(HierarchyIndexTest, RandomizedSeedsSweep) {
     const FloorPlan plan =
         MakeCampus(2 + static_cast<int>(seed % 2), 2, 7, seed);
     ExpectEngineEquality(plan, /*cache=*/(seed % 2) == 0,
-                         /*cell_target=*/8 << (seed % 3), seed);
+                         /*cell_target=*/4 << (seed % 3), seed);
   }
 }
 
@@ -150,13 +157,16 @@ TEST(HierarchyIndexTest, HostileCampusMatchesFlatBitwise) {
   // short cuts past the hallways, and obstacles block legs: the
   // goal-directed pt2pt search must still settle every value that
   // reaches an answer, from per-partition cells to whole buildings.
+  // Targets 1 and 2 fold no fragment, so nearly every door is a border;
+  // at 128 the whole campus is one cell.
   const FloorPlan plan = MakeHostileCampus(3, 3, 8, 61);
-  for (const unsigned cell_target : {1u, 4u, 16u, 128u}) {
+  for (const unsigned cell_target : {1u, 2u, 4u, 16u, 128u}) {
     for (const bool cache : {true, false}) {
       SCOPED_TRACE(testing::Message()
                    << "cell_target " << cell_target << " cache " << cache);
       ExpectEngineEquality(plan, cache, cell_target, /*seed=*/61 + cell_target,
-                           /*pt2pt_pairs=*/200);
+                           /*pt2pt_pairs=*/200,
+                           /*one_cell=*/cell_target == 128);
     }
   }
 }
@@ -264,50 +274,77 @@ TEST(HierarchyIndexTest, BlocksAreExactMatrixEntries) {
 }
 
 TEST(HierarchyIndexTest, StructuralInvariantsHold) {
-  const FloorPlan plan = MakeCampus(3, 2, 8, 29);
-  const DistanceGraph graph(plan);
-  const DistanceMatrix md2d(graph);
-  const HierarchyIndex hier = HierarchyIndex::Build(graph, 1, 24);
-  ASSERT_TRUE(hier.valid());
-  EXPECT_EQ(hier.door_count(), plan.door_count());
+  // The second plan has the shape of the serving benchmark's campus (six
+  // buildings of 30 rooms per floor), with fewer floors.
+  struct Case {
+    FloorPlan plan;
+    unsigned cell_target;
+    size_t max_cell_borders;
+  };
+  const Case cases[] = {{MakeCampus(3, 2, 8, 29), 24, 3},
+                        {MakeCampus(6, 2, 30, 1, 0.0, 0.0, 0.5), 128, 6}};
+  for (const auto& [plan, cell_target, max_cell_borders] : cases) {
+    SCOPED_TRACE(testing::Message() << plan.door_count() << " doors, cell "
+                                    << "target " << cell_target);
+    const DistanceGraph graph(plan);
+    const DistanceMatrix md2d(graph);
+    const HierarchyIndex hier = HierarchyIndex::Build(graph, 1, cell_target);
+    ASSERT_TRUE(hier.valid());
+    EXPECT_EQ(hier.door_count(), plan.door_count());
 
-  // Every door is a member of the cell(s) of its partitions, member lists
-  // ascend, and LocalIndex agrees with the list position.
-  size_t member_total = 0;
-  for (uint32_t c = 0; c < hier.cell_count(); ++c) {
-    const auto members = hier.CellMembers(c);
-    member_total += members.size();
-    for (uint32_t i = 0; i + 1 < members.size(); ++i) {
-      EXPECT_LT(members[i], members[i + 1]);
+    // Every door is a member of the cell(s) of its partitions, member
+    // lists ascend, and LocalIndex agrees with the list position.
+    size_t member_total = 0;
+    for (uint32_t c = 0; c < hier.cell_count(); ++c) {
+      const auto members = hier.CellMembers(c);
+      member_total += members.size();
+      for (uint32_t i = 0; i + 1 < members.size(); ++i) {
+        EXPECT_LT(members[i], members[i + 1]);
+      }
+      for (uint32_t i = 0; i < members.size(); ++i) {
+        EXPECT_EQ(hier.LocalIndex(c, members[i]), i);
+      }
+      EXPECT_LE(hier.CellBorderLocals(c).size(), max_cell_borders)
+          << "cell " << c;
     }
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      EXPECT_EQ(hier.LocalIndex(c, members[i]), i);
-    }
-  }
-  EXPECT_GE(member_total, plan.door_count());
+    EXPECT_GE(member_total, plan.door_count());
 
-  // Border doors are exactly the doors whose two cells differ, and the
-  // escape radius of a border door is 0 in both its cells.
-  for (DoorId d = 0; d < plan.door_count(); ++d) {
-    const auto cells = hier.CellsOfDoor(d);
-    const bool is_border = cells[1] != HierarchyIndex::kNone;
-    EXPECT_EQ(hier.IsBorder(d), is_border) << "door " << d;
-    if (is_border) {
-      const uint32_t b = hier.BorderIndexOf(d);
-      EXPECT_EQ(hier.border_doors()[b], d);
-      EXPECT_EQ(hier.EscapeRadius(cells[0], hier.LocalIndex(cells[0], d)),
-                0.0);
-      EXPECT_EQ(hier.EscapeRadius(cells[1], hier.LocalIndex(cells[1], d)),
-                0.0);
+    // Border doors are exactly the doors whose two cells differ, and the
+    // escape radius of a border door is 0 in both its cells.
+    for (DoorId d = 0; d < plan.door_count(); ++d) {
+      const auto cells = hier.CellsOfDoor(d);
+      const bool is_border = cells[1] != HierarchyIndex::kNone;
+      EXPECT_EQ(hier.IsBorder(d), is_border) << "door " << d;
+      if (is_border) {
+        const uint32_t b = hier.BorderIndexOf(d);
+        EXPECT_EQ(hier.border_doors()[b], d);
+        EXPECT_EQ(hier.EscapeRadius(cells[0], hier.LocalIndex(cells[0], d)),
+                  0.0);
+        EXPECT_EQ(hier.EscapeRadius(cells[1], hier.LocalIndex(cells[1], d)),
+                  0.0);
+      }
     }
-  }
 
-  // TryExact serves shared-cell pairs with the flat value.
-  for (DoorId s = 0; s < plan.door_count(); ++s) {
-    for (DoorId t = 0; t < plan.door_count(); ++t) {
-      double exact = -1.0;
-      if (hier.TryExact(s, t, &exact)) {
-        EXPECT_TRUE(BitEq(exact, md2d.At(s, t)));
+    // Fragments are folded: no door joins a cell of at most 2 partitions
+    // to a cell of more than 2.
+    std::vector<size_t> cell_sizes(hier.cell_count(), 0);
+    for (PartitionId v = 0; v < plan.partition_count(); ++v) {
+      ++cell_sizes[hier.CellOfPartition(v)];
+    }
+    for (const DoorId d : hier.border_doors()) {
+      const auto cells = hier.CellsOfDoor(d);
+      EXPECT_EQ(cell_sizes[cells[0]] <= 2, cell_sizes[cells[1]] <= 2)
+          << "door " << d << " joins cells of " << cell_sizes[cells[0]]
+          << " and " << cell_sizes[cells[1]] << " partitions";
+    }
+
+    // TryExact serves shared-cell pairs with the flat value.
+    for (DoorId s = 0; s < plan.door_count(); ++s) {
+      for (DoorId t = 0; t < plan.door_count(); ++t) {
+        double exact = -1.0;
+        if (hier.TryExact(s, t, &exact)) {
+          EXPECT_TRUE(BitEq(exact, md2d.At(s, t)));
+        }
       }
     }
   }
@@ -357,7 +394,8 @@ TEST(HierarchyIndexTest, SingleBuildingPlanStillWorks) {
   // Degenerate clustering: one building fits in one cell, so every query
   // should resolve through TryExact / block scans with no border hops.
   const FloorPlan plan = MakeRunningExamplePlan();
-  ExpectEngineEquality(plan, /*cache=*/true, /*cell_target=*/128, /*seed=*/6);
+  ExpectEngineEquality(plan, /*cache=*/true, /*cell_target=*/128, /*seed=*/6,
+                       /*pt2pt_pairs=*/60, /*one_cell=*/true);
 }
 
 TEST(HierarchyIndexTest, ParallelBuildIsBitIdentical) {

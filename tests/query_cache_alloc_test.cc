@@ -1,6 +1,6 @@
 // Heap allocations on the cross-query cache's miss path (query_cache.h).
-// A binary of its own, because it replaces the global operator new with
-// a counting one.
+// A binary of its own, because it links counting_new.cc, which replaces
+// the global operator new with a counting one.
 //
 // pt2pt requests at fresh positions miss the host and field caches every
 // time. Against a tiny budget every miss also evicts, and the new entry is
@@ -10,10 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "core/distance/query_scratch.h"
 #include "core/query/query_cache.h"
@@ -21,33 +18,8 @@
 #include "gen/building_generator.h"
 #include "gen/query_generator.h"
 
-namespace {
-
-std::atomic<uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// Calls of the replaced global operator new so far (counting_new.cc).
+uint64_t AllocationCount();
 
 namespace indoor {
 namespace {
@@ -81,9 +53,9 @@ TEST(QueryCacheAllocTest, WarmMissesAllocateNothing) {
     const CacheStats host_before = cache->HostStats();
     uint64_t allocating = 0;
     for (size_t i = kWarm; i < pairs.size(); ++i) {
-      const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+      const uint64_t before = AllocationCount();
       engine.Distance(pairs[i].first, pairs[i].second, &scratch);
-      if (g_allocations.load(std::memory_order_relaxed) != before) {
+      if (AllocationCount() != before) {
         ++allocating;
       }
     }

@@ -1,6 +1,7 @@
-# Runs indoor_tool with malformed numeric arguments: each must print the
-# usage text and exit 2, not abort and not run with a truncated value.
-# A well-formed control run must exit 0. Run by ctest:
+# Runs indoor_tool with malformed numeric arguments, and with flags the
+# command does not read: each must print the usage text and exit 2, not
+# abort, not run with a truncated value and not run with a misspelt flag
+# ignored. A well-formed control run must exit 0. Run by ctest:
 #   cmake -DTOOL=<indoor_tool> -DWORK_DIR=<dir> -P check_bad_numbers.cmake
 
 set(plan "${WORK_DIR}/bad_numbers_plan.txt")
@@ -23,6 +24,8 @@ set(cases
   "stats|${plan}|--queries|1e3"
   "serve|${plan}|--requests|3|--query-log|${WORK_DIR}/bad_numbers.qlog|--slow-ms|-5"
   "gen|--out|${WORK_DIR}/bad_numbers_unused.txt|--floors|two"
+  "build|${plan}|${WORK_DIR}/bad_numbers_unused.idx|--hierarchy|--cell-taget|4"
+  "serve|${plan}|--requests|30|--bogus-flag|3"
 )
 set(expect 0)
 foreach(case IN LISTS cases)

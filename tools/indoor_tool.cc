@@ -14,6 +14,9 @@
 //   indoor_tool serve plan.txt --load-mmap out.idx   (cold start, no build)
 //   indoor_tool stats plan.txt [--queries N] [--objects N] [--seed S]
 //
+// Each command accepts only the flags it reads (see kCommands); any other
+// flag prints the usage text and exits 2.
+//
 // Observability: every command accepts --metrics-json FILE ("-" = stdout)
 // to dump the metrics registry as JSON on exit, and the query commands
 // (distance, path, range, knn) accept --trace to print a per-query span
@@ -29,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -78,10 +82,12 @@ int Usage() {
       "                    [--slo SPEC] [--trace-out F] [--trace-sample N]\n"
       "                    [--load F.idx | --load-mmap F.idx] [--hierarchy]\n"
       "                    [--knn-approx] [--candidates F]\n"
-      "                    [--landmark-count N]\n"
+      "                    [--cell-target N] [--landmark-count N]\n"
       "  indoor_tool replay CAPTURE [--plan PLAN] [--threads N]\n"
       "                    [--speed X] [--cache on|off]\n"
+      "                    [--objects N] [--seed S]\n"
       "                    [--load F.idx | --load-mmap F.idx]\n"
+      "                    [--hierarchy] [--cell-target N]\n"
       "  indoor_tool dashboard REC [REC...] [--out F.html] [--slo SPEC]\n"
       "                    [--title T]\n"
       "\n"
@@ -91,10 +97,12 @@ int Usage() {
       "  --buildings N      gen: emit an N-building campus plan joined by\n"
       "                     a shared outdoor partition (--gap M meters of\n"
       "                     open ground between buildings, default 20)\n"
-      "  --hierarchy        build/serve: replace the flat Md2d/Midx with\n"
-      "                     the partition-contraction hierarchy index\n"
-      "                     (bitwise-identical results, less memory)\n"
-      "  --cell-target N    build/serve: partitions per hierarchy cell\n"
+      "  --hierarchy        build/serve/replay: replace the flat Md2d/Midx\n"
+      "                     with the partition-contraction hierarchy\n"
+      "                     index (bitwise-identical results, less\n"
+      "                     memory)\n"
+      "  --cell-target N    build/serve/replay: partitions per hierarchy\n"
+      "                     cell before fragments fold in (default 128)\n"
       "  --landmark-count N build/serve: ALT landmarks to select (default\n"
       "                     0 = auto-scale with the door count, see\n"
       "                     docs/BENCHMARKS.md)\n"
@@ -480,6 +488,16 @@ int CmdBuild(const Args& args) {
               options.use_hierarchy ? "hierarchy" : "flat",
               plan->door_count(), build_ms, args.positional[1].c_str(),
               index.IndexMemoryBytes() / (1024.0 * 1024.0));
+  if (options.use_hierarchy) {
+    const HierarchyIndex& hier = index.hierarchy_index();
+    size_t most_borders = 0;
+    for (uint32_t c = 0; c < hier.cell_count(); ++c) {
+      most_borders = std::max(most_borders, hier.CellBorderLocals(c).size());
+    }
+    std::printf("hierarchy cells: %zu cells, %zu border doors, at most %zu "
+                "borders in one cell\n",
+                hier.cell_count(), hier.border_count(), most_borders);
+  }
   const auto loaded = LoadIndexContainer(plan.value(), args.positional[1]);
   if (!loaded.ok()) {
     std::cerr << "round-trip failed: " << loaded.status() << "\n";
@@ -952,30 +970,70 @@ int DumpMetricsJson(const Args& args) {
   return 0;
 }
 
+/// A command and the flags it reads. Any other flag, save --metrics-json
+/// (read after every command), prints the usage text and exits 2.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const Command kCommands[] = {
+    {"gen", CmdGen,
+     {"out", "floors", "rooms", "seed", "r2r", "oneway", "parallel-stairs",
+      "buildings", "gap"}},
+    {"info", CmdInfo, {}},
+    {"validate", CmdValidate, {}},
+    {"distance", [](const Args& a) { return CmdDistance(a, false); },
+     {"trace"}},
+    {"path", [](const Args& a) { return CmdDistance(a, true); }, {"trace"}},
+    {"range", [](const Args& a) { return CmdQuery(a, false); },
+     {"objects", "seed", "trace"}},
+    {"knn", [](const Args& a) { return CmdQuery(a, true); },
+     {"objects", "seed", "trace"}},
+    {"build", CmdBuild,
+     {"threads", "hierarchy", "cell-target", "landmark-count"}},
+    {"stats", CmdStats, {"queries", "objects", "seed"}},
+    {"serve", CmdServe,
+     {"threads", "batch", "skew", "requests", "positions", "objects",
+      "cache", "seed", "move-rate", "move-batch", "query-log", "slow-ms",
+      "report", "record", "record-interval-ms", "slo", "trace-out",
+      "trace-sample", "load", "load-mmap", "hierarchy", "cell-target",
+      "knn-approx", "candidates", "landmark-count"}},
+    {"replay", CmdReplay,
+     {"plan", "threads", "speed", "cache", "objects", "seed", "load",
+      "load-mmap", "hierarchy", "cell-target"}},
+    {"dashboard", CmdDashboard, {"out", "slo", "title"}},
+};
+
+const Command* FindCommand(std::string_view name) {
+  for (const Command& command : kCommands) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
+  const Command* command = FindCommand(argv[1]);
+  if (command == nullptr) return Usage();
   const Args args = Parse(argc, argv);
-  int rc = -1;
+  for (const auto& [key, value] : args.flags) {
+    if (key != "metrics-json" &&
+        std::find(command->flags.begin(), command->flags.end(), key) ==
+            command->flags.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", argv[1], key.c_str());
+      return Usage();
+    }
+  }
+  int rc;
   try {
-    if (cmd == "gen") rc = CmdGen(args);
-    else if (cmd == "info") rc = CmdInfo(args);
-    else if (cmd == "validate") rc = CmdValidate(args);
-    else if (cmd == "distance") rc = CmdDistance(args, /*with_path=*/false);
-    else if (cmd == "path") rc = CmdDistance(args, /*with_path=*/true);
-    else if (cmd == "range") rc = CmdQuery(args, /*knn=*/false);
-    else if (cmd == "knn") rc = CmdQuery(args, /*knn=*/true);
-    else if (cmd == "build") rc = CmdBuild(args);
-    else if (cmd == "stats") rc = CmdStats(args);
-    else if (cmd == "serve") rc = CmdServe(args);
-    else if (cmd == "replay") rc = CmdReplay(args);
-    else if (cmd == "dashboard") rc = CmdDashboard(args);
+    rc = command->run(args);
   } catch (const BadNumber&) {
     return Usage();
   }
-  if (rc < 0) return Usage();
   const int json_rc = DumpMetricsJson(args);
   return rc != 0 ? rc : json_rc;
 }
